@@ -22,6 +22,9 @@ class StructureConstantCache:
     def __init__(self, path):
         self.path = path
         self.table = {}
+        # Keys read from the file, in file order; records put by this
+        # process are not listed.
+        self.loaded_keys = []
         self.lock = threading.Lock()
         self._header_ok = False
         self._load()
@@ -57,6 +60,7 @@ class StructureConstantCache:
                     _pairs_from_json(p): int(c) for p, c in rec["value"]
                 }
                 self.table[key] = value
+                self.loaded_keys.append(key)
 
     def get(self, key):
         return self.table.get(key)
@@ -93,6 +97,7 @@ class StructureConstantCache:
     def clear(self):
         with self.lock:
             self.table.clear()
+            self.loaded_keys.clear()
             self._header_ok = False
             if os.path.exists(self.path):
                 os.remove(self.path)

@@ -365,10 +365,14 @@ def build_parser():
 
 
 def _spot_check_cache(store):
-    """Re-derive one cached product from scratch; mismatch is a failure."""
-    if not store.table:
+    """Re-derive the first product read from the cache file; mismatch is a failure.
+
+    A record this process computed itself came from the same derivation, so
+    with nothing read from the file there is nothing to check.
+    """
+    if not store.loaded_keys:
         return True
-    key = next(iter(store.table))
+    key = store.loaded_keys[0]
     n, left, right = key
     fresh = schur._green_product(left, right, n)
     return fresh == store.table[key]

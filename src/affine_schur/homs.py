@@ -8,6 +8,8 @@ composition law can be checked generically; specialization is layered on top.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from math import factorial, prod
 
 from .laurent import Laurent
 from .schur import (
@@ -16,7 +18,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import bar, meet, partition_of, young_order
+from .weyl import bar
 
 
 def _height_scalar(ht):
@@ -24,13 +26,18 @@ def _height_scalar(ht):
 
 
 def collapse_index(pairs, n):
-    """[Sigma_{i,j} : Sigma_{i,j,eps}] for a canonical label split as (i, j+n*eps)."""
+    """[Sigma_{i,j} : Sigma_{i,j,eps}] for a canonical label split as (i, j+n*eps).
+
+    Both are stabilizers of tuples, so each order is the product of the
+    factorials of the multiplicities of the tuple's entries.
+    """
     i = index_tops(pairs)
     j, eps = split_offsets(pairs, n)
-    pij = meet(partition_of(i), partition_of(j))
-    pije = meet(pij, partition_of(eps))
-    assert young_order(pij) % young_order(pije) == 0
-    return young_order(pij) // young_order(pije)
+    return _stabilizer_order(zip(i, j)) // _stabilizer_order(zip(i, j, eps))
+
+
+def _stabilizer_order(entries):
+    return prod(map(factorial, Counter(entries).values()))
 
 
 def psi_as(x, s, height_scalar=_height_scalar):

@@ -5,26 +5,25 @@ A basis element is labelled by the orbit of a pair of integer tuples (i, j)
 under the simultaneous extended-affine-Weyl action.  The canonical label
 normalizes each coordinate pair so the top entry lies in {1..n} (shifting the
 bottom entry along) and sorts the pairs lexicographically; this is a complete
-orbit invariant.  Products are computed by reducing to the aligned form
-xi_{i,j+ne} * xi_{j,l+ne'} and summing subgroup-index coefficients over double
-cosets of Young subgroups.
+orbit invariant.
+
+The product xi_{i,j+ne} * xi_{j,l+ne'} sums Young-subgroup indices over the
+double cosets H2\\G/H1 of the stabilizers G of j, H1 of (i, j, e) and H2 of
+(j, l, e').  Inside each block of G (the positions with one middle residue) a
+double coset is a non-negative integer matrix with fixed row and column sums
+(James-Kerber 1.3.10): rows are the left factor's (top, offset) types,
+columns the right factor's (bottom residue, offset) types.  Enumerating these
+tables never lists the group, so there is no rank cap; the brute-force
+``weyl.double_cosets`` (capped at r = 8) is only a test oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+from math import factorial
+
 from .laurent import Laurent
-from .weyl import (
-    apply_perm,
-    bar,
-    bar_tuple,
-    double_cosets,
-    equivalent_middle,
-    meet,
-    partition_of,
-    tuple_orbit_rep,
-    weakly_increasing_tuples,
-    young_order,
-)
+from .weyl import bar, bar_tuple, tuple_orbit_rep, weakly_increasing_tuples
 
 
 def canonicalize(i, j, n):
@@ -88,9 +87,8 @@ def clear_memo():
 def structure_constants(x_pairs, y_pairs, n):
     """The product xi_x * xi_y as a dict {canonical pairs: positive int}.
 
-    The right factor is rewritten so its first tuple literally equals the
-    normalized middle of the left factor, then the double-coset formula with
-    Young-subgroup index coefficients is applied.
+    Memoized in-process and, when one is installed, in the persistent cache;
+    a miss is computed by ``_green_product``.
     """
     key = (n, x_pairs, y_pairs)
     hit = _green_memo.get(key)
@@ -111,44 +109,61 @@ def structure_constants(x_pairs, y_pairs, n):
 
 
 def _green_product(x_pairs, y_pairs, n):
-    i = index_tops(x_pairs)
-    j, eps = split_offsets(x_pairs, n)
-    k = index_tops(y_pairs)
+    """xi_{i,j+n*eps} * xi_{j,l+n*eps'} as a sum over contingency tables.
 
+    A table M of block c adds M[a][b] copies of (i_a, l_b + n*(eps_a +
+    eps'_b)); its coefficient is prod(output multiplicity)! / prod M[a][b]!.
+    """
+    i, (j, eps) = index_tops(x_pairs), split_offsets(x_pairs, n)
+    k, (l, eps2) = index_tops(y_pairs), split_offsets(y_pairs, n)
     if sorted(j) != sorted(k):
         return {}
+    rows, cols = defaultdict(Counter), defaultdict(Counter)
+    for c, top, e in zip(j, i, eps):
+        rows[c][top, e] += 1
+    for c, res, e in zip(k, l, eps2):
+        cols[c][res, e] += 1
 
-    # Align the right factor: rewrite (k, l_raw) with first tuple j.  Both k
-    # and j sit in I(n,r), so the move is a pure place permutation.
-    w = equivalent_middle(k, j, n)
-    assert w is not None and not any(w.eps)
-    l_aligned = apply_perm(index_bottoms(y_pairs), w.sigma)
-    l = bar_tuple(l_aligned, n)
-    eps2 = tuple((b - v) // n for b, v in zip(l_aligned, l))
-
-    part_i = partition_of(i)
-    part_j = partition_of(j)
-    part_l = partition_of(l)
-    part_eps = partition_of(eps)
-    part_eps2 = partition_of(eps2)
-
-    h2 = meet(part_j, part_l, part_eps2)
-    h1 = meet(part_i, part_j, part_eps)
+    fact = [factorial(m) for m in range(len(x_pairs) + 1)]
+    # One entry per row type: its row sum, its block's column capacities
+    # (shared by the block's rows) and the output pair of each column.
+    plan = []
+    for c, row_types in rows.items():
+        caps = list(cols[c].values())
+        for (top, e), need in row_types.items():
+            outs = [(top, res + n * (e + e2)) for res, e2 in cols[c]]
+            plan.append((need, caps, outs))
 
     out = {}
-    for delta in double_cosets(h2, part_j, h1):
-        l_d = apply_perm(l, delta)
-        eps2_d = apply_perm(eps2, delta)
-        eps_out = tuple(a + b for a, b in zip(eps2_d, eps))
-        numer = young_order(meet(part_i, partition_of(l_d), partition_of(eps_out)))
-        denom = young_order(
-            meet(part_i, part_j, partition_of(l_d), partition_of(eps2_d), part_eps)
-        )
-        assert numer % denom == 0
-        coeff = numer // denom
-        bottom = tuple(v + n * e for v, e in zip(l_d, eps_out))
-        idx = canonicalize(i, bottom, n)
-        out[idx] = out.get(idx, 0) + coeff
+    counts = {}
+    chosen = []
+
+    def fill(row, col, left, numer, denom):
+        """Spread `left` more of row `row` over columns col, col+1, ..."""
+        if not left:
+            row += 1
+            if row == len(plan):
+                idx = tuple(sorted(chosen))
+                out[idx] = out.get(idx, 0) + numer // denom
+                return
+            col, left = 0, plan[row][0]
+        _, caps, outs = plan[row]
+        for b in range(col, len(caps)):
+            cap = caps[b]
+            if not cap:
+                continue
+            pair = outs[b]
+            had = counts.get(pair, 0)
+            for m in range(1, min(left, cap) + 1):
+                caps[b] = cap - m
+                counts[pair] = had + m
+                chosen.extend([pair] * m)
+                fill(row, b + 1, left - m, numer * fact[had + m] // fact[had], denom * fact[m])
+                del chosen[-m:]
+            caps[b] = cap
+            counts[pair] = had
+
+    fill(-1, 0, 0, 1, 1)
     return out
 
 
@@ -256,9 +271,6 @@ class AlgebraElement:
             {p: Laurent.const(c.evaluate(a0)) for p, c in self.terms.items()},
         )
 
-    def map_coefficients(self, fn):
-        return AlgebraElement(self.n, self.r, {p: fn(c) for p, c in self.terms.items()})
-
     def is_finite_support(self):
         """True when every index has all bottom entries in {1..n} (no offsets)."""
         return all(
@@ -316,7 +328,7 @@ class AlgebraElement:
 
 
 def multiply(x, y):
-    """Bilinear extension of the double-coset basis product."""
+    """Bilinear extension of the basis product ``structure_constants``."""
     x._check_context(y)
     terms = {}
     for xp, xc in x.terms.items():

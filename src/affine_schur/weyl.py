@@ -132,14 +132,6 @@ class AffineWeylElement:
         return "AffineWeylElement(%s, %s)" % (list(self.sigma), list(self.eps))
 
 
-def weyl_apply(w, t, n):
-    return w.apply(t, n)
-
-
-def weyl_compose(w1, w2):
-    return w1.compose(w2)
-
-
 # -- set partitions (Young subgroup descriptors) -------------------------------
 
 def partition_of(t):
@@ -238,12 +230,14 @@ def double_cosets(h2, g, h1):
     """Representatives of H2\\G/H1 for Young subgroups given as partitions.
 
     Representatives are the lexicographically least member of each double
-    coset; brute force over the subgroup of g, which is adequate at desk
-    scale (the enumeration is capped at r = 8).
+    coset.  Brute force over every element of g: a test oracle for the
+    contingency-table product in ``schur``, capped at r = 8.
     """
     r = sum(len(b) for b in g)
-    assert r <= 8, "double coset enumeration is capped at r=8"
-    assert refines(h1, g) and refines(h2, g), "h1, h2 must refine g"
+    if r > 8:
+        raise ValueError("double coset enumeration is capped at r=8, got r=%d" % r)
+    if not (refines(h1, g) and refines(h2, g)):
+        raise ValueError("h1, h2 must refine g")
     big = young_subgroup(g)
     left = young_subgroup(h2)
     right = young_subgroup(h1)

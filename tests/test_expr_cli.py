@@ -206,6 +206,42 @@ def test_corrupted_cache_fails_spot_check(tmp_path):
     assert code == 2
 
 
+def test_spot_check_rederives_only_records_read_from_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "sc.jsonl")
+    derived = []
+    green = schur._green_product
+
+    def counting(x, y, n):
+        derived.append((x, y))
+        return green(x, y, n)
+
+    monkeypatch.setattr(schur, "_green_product", counting)
+    args = ["--cache", path, "multiply", "-n", "1", "xi[(1,1,1)|(0,1,2)]*xi[(1,1,1)|(1,2,3)]"]
+    try:
+        schur.clear_memo()
+        cold = run_cli(args)
+        assert len(derived) == 1  # the product itself, no spot check
+        schur.clear_memo()
+        warm = run_cli(args)
+        assert len(derived) == 2  # read from the file, then spot-checked
+        assert cold == warm and cold[0] == 0
+    finally:
+        schur.set_persistent_cache(None)
+        schur.clear_memo()
+
+
+def test_cli_multiply_past_rank_eight():
+    ones = ",".join(["1"] * 9)
+    x = "xi[(%s)|(%s)]" % (ones, ",".join(["1"] * 8 + ["2"]))
+    code, out = run_cli(["multiply", "-n", "1", "%s*%s" % (x, x), "--text"])
+    assert code == 0
+    # (x_1 + ... + x_9)^2 = m_(2) + 2 m_(1,1)
+    want = "xi[(%s)|(%s)] + 2*xi[(%s)|(%s)]" % (
+        ones, ",".join(["1"] * 8 + ["3"]), ones, ",".join(["1"] * 7 + ["2", "2"])
+    )
+    assert out.strip() == want
+
+
 def test_persistent_cache(tmp_path):
     path = str(tmp_path / "sc.jsonl")
     store = cache_mod.StructureConstantCache(path)

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from affine_schur.laurent import Laurent
-from affine_schur.schur import AlgebraElement, basis_indices, multiply
+from affine_schur.schur import (
+    AlgebraElement,
+    basis_indices,
+    index_tops,
+    multiply,
+    split_offsets,
+)
+from affine_schur.weyl import meet, partition_of, young_order
 from affine_schur.homs import (
     apply_hom,
     collapse_index,
@@ -42,6 +49,13 @@ def test_psi_a_examples():
 def test_collapse_index_is_subgroup_index():
     pairs = ((1, 3), (1, 1))  # i=j=(1,1), offsets (1,0): index 2
     assert collapse_index(pairs, 2) == 2
+    for n, r in ((1, 5), (2, 3), (3, 3)):
+        for pairs in basis_indices(n, r, 1):
+            i = index_tops(pairs)
+            j, eps = split_offsets(pairs, n)
+            pij = meet(partition_of(i), partition_of(j))
+            index = young_order(pij) // young_order(meet(pij, partition_of(eps)))
+            assert collapse_index(pairs, n) == index
 
 
 def test_psi_multiplicative():

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_schur.homs import psi_a
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
     AlgebraElement,
@@ -14,11 +16,22 @@ from affine_schur.schur import (
     index_bottoms,
     index_tops,
     multiply,
+    split_offsets,
     structure_constants,
     transpose_antiauto,
     weyl_act,
 )
-from affine_schur.weyl import AffineWeylElement, all_perms
+from affine_schur.weyl import (
+    AffineWeylElement,
+    all_perms,
+    apply_perm,
+    bar_tuple,
+    double_cosets,
+    equivalent_middle,
+    meet,
+    partition_of,
+    young_order,
+)
 
 
 def test_canonicalize_examples():
@@ -195,3 +208,115 @@ def test_context_mismatch():
 def test_specialize():
     x = AlgebraElement.basis(2, (1,), (3,)).scale(Laurent.gen(2))
     assert x.specialize(3) == AlgebraElement.basis(2, (1,), (3,)).scale(9)
+
+
+# -- the double-coset formula as a reference ------------------------------------
+
+def _double_coset_product(x_pairs, y_pairs, n):
+    """xi_x * xi_y by brute force: Young-subgroup indices summed over the
+    double cosets H2\\G/H1 that ``double_cosets`` lists element by element."""
+    i = index_tops(x_pairs)
+    j, eps = split_offsets(x_pairs, n)
+    k = index_tops(y_pairs)
+    if sorted(j) != sorted(k):
+        return {}
+    w = equivalent_middle(k, j, n)
+    l_aligned = apply_perm(index_bottoms(y_pairs), w.sigma)
+    l = bar_tuple(l_aligned, n)
+    eps2 = tuple((b - v) // n for b, v in zip(l_aligned, l))
+    part_i, part_j, part_eps = partition_of(i), partition_of(j), partition_of(eps)
+    h2 = meet(part_j, partition_of(l), partition_of(eps2))
+    h1 = meet(part_i, part_j, part_eps)
+    out = {}
+    for delta in double_cosets(h2, part_j, h1):
+        l_d = apply_perm(l, delta)
+        eps2_d = apply_perm(eps2, delta)
+        eps_out = tuple(a + b for a, b in zip(eps2_d, eps))
+        numer = young_order(meet(part_i, partition_of(l_d), partition_of(eps_out)))
+        denom = young_order(
+            meet(part_i, part_j, partition_of(l_d), partition_of(eps2_d), part_eps)
+        )
+        assert numer % denom == 0
+        idx = canonicalize(i, tuple(v + n * e for v, e in zip(l_d, eps_out)), n)
+        out[idx] = out.get(idx, 0) + numer // denom
+    return out
+
+
+def _composable_sample(n, r, window, count):
+    """`count` distinct seeded pairs (x, y) whose right factor's tops are the
+    left factor's bottom residues."""
+    idxs = basis_indices(n, r, window)
+    by_tops = defaultdict(list)
+    for y in idxs:
+        by_tops[index_tops(y)].append(y)
+    rng = random.Random("%d:%d:%d" % (n, r, window))
+    pairs = set()
+    while len(pairs) < count:
+        x = rng.choice(idxs)
+        pairs.add((x, rng.choice(by_tops[tuple(sorted(bar_tuple(index_bottoms(x), n)))])))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)])
+def test_product_matches_double_cosets_exhaustive(n, r):
+    idxs = basis_indices(n, r, 1)
+    for x in idxs:
+        for y in idxs:
+            assert structure_constants(x, y, n) == _double_coset_product(x, y, n)
+
+
+@pytest.mark.parametrize(
+    "n,r,count", [(2, 3, 1000), (2, 4, 1000), (3, 2, 1000), (3, 3, 600), (3, 4, 400)]
+)
+def test_product_matches_double_cosets_sampled(n, r, count):
+    for x, y in _composable_sample(n, r, 1, count):
+        assert structure_constants(x, y, n) == _double_coset_product(x, y, n)
+
+
+def _n1_label(offsets):
+    return tuple(sorted((1, 1 + e) for e in offsets))
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ((-2, -2, 0, 0, 1, 2, -1), (1, 1, -1, -1, 0, 2, -2)),
+        ((1, 1, 1, 0, -1, 2, -2), (0, 0, 2, 2, -1, 1, -2)),
+        ((0, 0, 0, 1, 1, -1, 2), (1, 1, 1, 0, -1, 2, -2)),
+        ((0, 1, 2, 3, -1, -2, -3), (0, 0, 0, 0, 1, 1, 1)),
+    ],
+)
+def test_product_matches_double_cosets_typed_r7(left, right):
+    x, y = _n1_label(left), _n1_label(right)
+    assert structure_constants(x, y, 1) == _double_coset_product(x, y, 1)
+
+
+# -- n = 1 beyond the brute-force cap -------------------------------------------
+
+def _n1_grid(r):
+    """Every n = 1 label of degree r with offsets in {-1, 0, 1}."""
+    return [
+        AlgebraElement(1, r, {_n1_label(offsets): 1})
+        for offsets in itertools.combinations_with_replacement((-1, 0, 1), r)
+    ]
+
+
+@pytest.mark.parametrize("r", [9, 10, 11, 12])
+def test_large_rank_associativity(r):
+    grid = _n1_grid(r)
+    rng = random.Random(r)
+    for _ in range(15):
+        a, b, c = (rng.choice(grid) for _ in range(3))
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@pytest.mark.parametrize("r", [9, 10, 11, 12])
+def test_large_rank_identity_and_psi_a(r):
+    grid = _n1_grid(r)
+    one = identity(1, r)
+    rng = random.Random(100 + r)
+    for x in grid:
+        assert multiply(one, x) == x and multiply(x, one) == x
+    for _ in range(80):
+        x, y = rng.choice(grid), rng.choice(grid)
+        assert psi_a(multiply(x, y)) == multiply(psi_a(x), psi_a(y))

@@ -125,8 +125,10 @@ def test_double_cosets_partition_property():
 
 
 def test_double_cosets_precondition():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         double_cosets(full_partition(3), partition_of((1, 1, 2)), trivial_partition(3))
+    with pytest.raises(ValueError):
+        double_cosets(trivial_partition(9), full_partition(9), trivial_partition(9))
 
 
 def test_refines():
