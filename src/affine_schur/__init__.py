@@ -35,6 +35,7 @@ from .semigroup import (
 from .looplie import LoopGenerator, decompose_x, decompose_y, generator_set, pi_tilde
 from .weyl import (
     AffineWeylElement,
+    affine_matchings,
     double_cosets,
     equivalent_middle,
     meet,
@@ -53,6 +54,7 @@ __all__ = [
     "TensorVector",
     "WeylSymmetry",
     "act",
+    "affine_matchings",
     "canonicalize",
     "decompose_x",
     "decompose_y",

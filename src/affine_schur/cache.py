@@ -17,6 +17,8 @@ FORMAT_VERSION = 1
 
 ENV_VAR = "AFFINE_SCHUR_CACHE"
 
+_FIELDS = {"n", "left", "right", "value"}
+
 
 class StructureConstantCache:
     def __init__(self, path):
@@ -43,7 +45,7 @@ class StructureConstantCache:
             if header.get("format") != FORMAT_VERSION:
                 return
             self._header_ok = True
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
@@ -51,6 +53,16 @@ class StructureConstantCache:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn tail write; ignore
+                if (
+                    not isinstance(rec, dict)
+                    or not _FIELDS <= rec.keys()
+                    or not isinstance(rec["n"], int)
+                    or rec["n"] < 1
+                ):
+                    raise ValueError(
+                        "%s line %d: a cache record needs the fields n (at "
+                        "least 1), left, right and value" % (self.path, lineno)
+                    )
                 key = (
                     rec["n"],
                     _pairs_from_json(rec["left"]),

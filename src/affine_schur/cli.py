@@ -381,23 +381,23 @@ def _spot_check_cache(store):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", None) is not None and args.n < 1:
+        parser.error("the period n must be at least 1, got %d" % args.n)
     cache_path = args.cache or os.environ.get(cache_mod.ENV_VAR)
-    store = None
-    if cache_path and args.command != "cache":
-        store = cache_mod.StructureConstantCache(cache_path)
-        schur.set_persistent_cache(store)
     try:
-        code = args.fn(args)
-    except UserError as ex:
+        if cache_path and args.command != "cache":
+            store = cache_mod.StructureConstantCache(cache_path)
+            schur.set_persistent_cache(store)
+            if not _spot_check_cache(store):
+                print(
+                    "error: persistent cache disagrees with a fresh derivation",
+                    file=sys.stderr,
+                )
+                return 2
+        return args.fn(args)
+    except (UserError, ValueError, OSError, KeyError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 1
-    if store is not None and not _spot_check_cache(store):
-        print("error: persistent cache disagrees with a fresh derivation", file=sys.stderr)
-        return 2
-    return code
 
 
 if __name__ == "__main__":

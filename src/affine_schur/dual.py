@@ -18,7 +18,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import all_perms, apply_perm, bar_tuple, partition_of, young_subgroup
+from .weyl import affine_matchings
 
 
 def pair(xi_pairs, c_pairs):
@@ -26,13 +26,13 @@ def pair(xi_pairs, c_pairs):
     return 1 if tuple(xi_pairs) == tuple(c_pairs) else 0
 
 
-def _first_factor_middles(i, j):
+def _first_factor_middles(i, j, n):
     """Distinct s with (i, s) in the orbit of (i, j), for i in I(n,r).
 
     Top-normalized tops force the shift part to vanish, so s runs over the
     images of j under the stabilizer of i.
     """
-    return {apply_perm(j, sigma) for sigma in young_subgroup(partition_of(i))}
+    return {w.apply(j, n) for w in affine_matchings(i, i, n)}
 
 
 def delta_pair(x_pairs, y_pairs, c_pairs, n):
@@ -51,13 +51,8 @@ def delta_pair(x_pairs, y_pairs, c_pairs, n):
 
 def _middles_matching(x_pairs, p, n):
     """Distinct s with (p, s) in the orbit of x, for p a permutation of x's tops."""
-    i = index_tops(x_pairs)
     j = index_bottoms(x_pairs)
-    out = set()
-    for sigma in all_perms(len(p)):
-        if apply_perm(i, sigma) == tuple(p):
-            out.add(apply_perm(j, sigma))
-    return out
+    return {w.apply(j, n) for w in affine_matchings(index_tops(x_pairs), p, n)}
 
 
 def multiply_schur_oracle(x, y):
@@ -85,21 +80,15 @@ def _schur_basis_product(x_pairs, y_pairs, n):
     j = index_bottoms(x_pairs)
     k = index_tops(y_pairs)
     l = index_bottoms(y_pairs)
-    r = len(i)
 
-    middles = _first_factor_middles(i, j)
+    middles = _first_factor_middles(i, j, n)
 
     # Collect candidate output labels constructively: for every admissible
-    # middle s, every alignment of the second factor onto s produces one.
+    # middle s, every alignment w of the second factor onto s produces one.
     candidates = set()
     for s in middles:
-        s_res = bar_tuple(s, n)
-        for tau in all_perms(r):
-            kt = apply_perm(k, tau)
-            if bar_tuple(kt, n) != s_res:
-                continue
-            q = tuple(lv + sv - kv for lv, sv, kv in zip(apply_perm(l, tau), s, kt))
-            candidates.add(canonicalize(i, q, n))
+        for w in affine_matchings(k, s, n):
+            candidates.add(canonicalize(i, w.apply(l, n), n))
 
     out = {}
     for cand in candidates:
@@ -155,17 +144,7 @@ class RowFiniteMap:
 
 def compose_maps(g, f, in_window, out_window, mid_window):
     """Matrix of g-bar o f over windows, with the middle window declared."""
-    gm = g.matrix(mid_window, out_window)
-    fm = f.matrix(in_window, mid_window)
-    out = {}
-    for (w, v), cf in fm.items():
-        for u in out_window:
-            cg = gm.get((u, w))
-            if cg is None:
-                continue
-            key = (u, v)
-            out[key] = out.get(key, Laurent.zero()) + cg * cf
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return _mat_mul(g.matrix(mid_window, out_window), f.matrix(in_window, mid_window))
 
 
 def _transpose(mat):

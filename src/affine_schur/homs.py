@@ -65,9 +65,9 @@ def psi_a(x, height_scalar=_height_scalar):
     return psi_as(x, 0, height_scalar)
 
 
-def psi_a0(x, height_scalar=_height_scalar):
-    """The collapse followed by the finite embedding (same carrier algebra)."""
-    return psi_as(x, 0, height_scalar)
+# The collapse followed by the finite embedding: the same map on the same
+# carrier algebra.
+psi_a0 = psi_a
 
 
 def _det_patterns(pairs, n):
@@ -157,10 +157,8 @@ def apply_hom(kind, x, s=None, window=None):
         if s is None:
             raise ValueError("psi_as needs --s")
         return psi_as(x, s)
-    if kind == "psi_a":
+    if kind in ("psi_a", "psi_a0"):
         return psi_a(x)
-    if kind == "psi_a0":
-        return psi_a0(x)
     if kind == "det_sharp":
         return det_tilde_sharp(x)
     if kind == "det_star":

@@ -1,9 +1,10 @@
 """The faithful action on the infinite tensor space and the multiplication
 oracle it yields.
 
-A basis element acts on a tensor basis vector v_u by enumerating affine Weyl
-elements w with (bottom tuple).w = u, deduplicated by left cosets of the pair
-stabilizer, and emitting v_{(top tuple).w}.  Products are reconstructed from
+A basis element acts on a tensor basis vector v_u through the affine Weyl
+elements w with (bottom tuple).w = u: it emits v_{(top tuple).w} for each,
+counted once per w and divided by the order of the pair stabilizer, which
+permutes those w without moving the image.  Products are reconstructed from
 the composite action on one representative per middle-tuple orbit; a basis
 element can hit a single output vector with multiplicity, so coefficients are
 recovered by an exact division with a consistency check rather than read off.
@@ -11,7 +12,9 @@ recovered by an exact division with a consistency check rather than read off.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 from .laurent import Laurent
 from .schur import (
@@ -21,14 +24,7 @@ from .schur import (
     index_tops,
     middle_orbit_rep,
 )
-from .weyl import (
-    AffineWeylElement,
-    all_perms,
-    apply_perm,
-    meet,
-    partition_of,
-    young_subgroup,
-)
+from .weyl import affine_matchings
 
 
 class TensorVector:
@@ -124,32 +120,17 @@ def _basis_action_on_tuple(pairs, u, n):
     """Action of a canonical basis element on v_u: dict {tuple: multiplicity}."""
     i = index_tops(pairs)
     b = index_bottoms(pairs)
-    r = len(u)
-    sols = []
-    for sigma in all_perms(r):
-        bs = apply_perm(b, sigma)
-        diff = tuple(uv - bv for uv, bv in zip(u, bs))
-        if any(d % n for d in diff):
-            continue
-        eps = tuple(d // n for d in diff)
-        sols.append(AffineWeylElement(sigma, eps))
-    if not sols:
-        return {}
-    # Deduplicate by left cosets of the pair stabilizer, which is the finite
-    # Young subgroup of positions fixing both tuples (tops are normalized).
-    stab = [
-        AffineWeylElement(tau, (0,) * r)
-        for tau in young_subgroup(meet(partition_of(i), partition_of(b)))
-    ]
-    covered = set()
+    counts = Counter(w.apply(i, n) for w in affine_matchings(b, u, n))
+    # The tops lie in 1..n, so the pair stabilizer is finite: it permutes
+    # the positions of each repeated (top, bottom) pair.
+    stab = prod(factorial(m) for m in Counter(pairs).values())
     out = {}
-    for w in sols:
-        if w in covered:
-            continue
-        for h in stab:
-            covered.add(h.compose(w))
-        image = w.apply(i, n)
-        out[image] = out.get(image, 0) + 1
+    for image, count in counts.items():
+        if count % stab:
+            raise ReconstructionError(
+                "%d matchings onto %s, not a multiple of %d" % (count, image, stab)
+            )
+        out[image] = count // stab
     return out
 
 

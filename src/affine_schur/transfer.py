@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .weyl import AffineWeylElement, all_perms, apply_perm, invert_perm
+from .weyl import affine_matchings, apply_perm, invert_perm
 
 
 class OperatorSum:
@@ -217,19 +217,12 @@ def mackey_product(a, h1, b, h2, h3, action, mul=perm_mul, inv=perm_inv):
 def affine_stabilizer(tuples, n, r):
     """All group elements fixing every listed tuple; finite for nonempty input."""
     tuples = [tuple(t) for t in tuples]
-    assert tuples, "the stabilizer of nothing is the whole group"
-    first = tuples[0]
-    out = []
-    for sigma in all_perms(r):
-        moved = apply_perm(first, sigma)
-        diff = tuple(a - b for a, b in zip(first, moved))
-        if any(d % n for d in diff):
-            continue
-        eps = tuple(d // n for d in diff)
-        w = AffineWeylElement(sigma, eps)
-        if all(w.apply(t, n) == t for t in tuples):
-            out.append(w)
-    return out
+    if not tuples or any(len(t) != r for t in tuples):
+        raise ValueError("give at least one tuple, each of length r=%d" % r)
+    return [
+        w for w in affine_matchings(tuples[0], tuples[0], n)
+        if all(w.apply(t, n) == t for t in tuples)
+    ]
 
 
 def affine_transfer_window(a, h1, n, window):
@@ -239,9 +232,7 @@ def affine_transfer_window(a, h1, n, window):
     explicit window; each requested entry is an exact finite coset count.
     """
     window = [tuple(t) for t in window]
-    r = len(window[0])
-    action = make_affine_action(n)
-    if not is_invariant(a, h1, action):
+    if not is_invariant(a, h1, make_affine_action(n)):
         raise ValueError("operator is not invariant under H1")
     terms = {}
     wset = set(window)
@@ -254,19 +245,10 @@ def affine_transfer_window(a, h1, n, window):
 
 def affine_transfer_column(a, h1, n, q):
     """All entries of T_{H1, whole group}(a) in the column of input index q."""
-    r = len(q)
-    action = make_affine_action(n)
     out = {}
     for (i, j), coeff in a.terms.items():
-        sols = []
-        for sigma in all_perms(r):
-            js = apply_perm(j, sigma)
-            diff = tuple(qq - jj for qq, jj in zip(q, js))
-            if any(d % n for d in diff):
-                continue
-            sols.append(AffineWeylElement(sigma, tuple(d // n for d in diff)))
         covered = set()
-        for w in sols:
+        for w in affine_matchings(j, q, n):
             if w in covered:
                 continue
             for h in h1:
@@ -307,16 +289,9 @@ def affine_mackey_window(a, h1, b, h2, n, window):
     action = make_affine_action(n)
     # Candidate representatives: group elements w with a * b^w nonzero need
     # (left index of some b-term).w = (right index of some a-term).
-    candidates = []
-    r = len(window[0])
-    for (i, j) in a.terms:
-        for (k, l) in b.terms:
-            for sigma in all_perms(r):
-                ks = apply_perm(k, sigma)
-                diff = tuple(jj - kk for jj, kk in zip(j, ks))
-                if any(d % n for d in diff):
-                    continue
-                candidates.append(AffineWeylElement(sigma, tuple(d // n for d in diff)))
+    candidates = [
+        w for _, j in a.terms for k, _ in b.terms for w in affine_matchings(k, j, n)
+    ]
     reps = []
     covered = set()
     for w in candidates:

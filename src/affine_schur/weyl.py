@@ -1,6 +1,12 @@
 """The extended affine Weyl group, its action on integer tuples, and Young
 subgroup combinatorics: stabilizer partitions, meets, orders, double cosets.
 
+``affine_matchings(b, u, n)`` lists every w with b.w = u.  Such a w sends the
+positions of u with residue c onto the positions of b with residue c and its
+shifts are then forced, so the solutions are products of one bijection per
+residue class: prod m_c! of them rather than r!.  The tensor and dual product
+oracles and the affine transfer calculus all enumerate through it.
+
 Permutations of {1..r} are stored as image tuples sigma with sigma[k-1] being
 the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),
 which makes the tuple action t |-> (t_{sigma(1)}, ..., t_{sigma(r)}) a right
@@ -11,6 +17,7 @@ place permutation followed by a shift by n*eps.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from math import factorial
 
@@ -90,6 +97,14 @@ class AffineWeylElement:
         raise AttributeError("immutable")
 
     @classmethod
+    def _unchecked(cls, sigma, eps):
+        """From a permutation tuple and a shift tuple already known to fit."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "sigma", sigma)
+        object.__setattr__(w, "eps", eps)
+        return w
+
+    @classmethod
     def identity(cls, r):
         return cls(identity_perm(r), (0,) * r)
 
@@ -101,7 +116,7 @@ class AffineWeylElement:
         """t . (sigma, eps) = t sigma + n eps."""
         if len(t) != self.r:
             raise ValueError("tuple length %d does not match r=%d" % (len(t), self.r))
-        return tuple(t[s - 1] + n * e for s, e in zip(self.sigma, self.eps))
+        return tuple([t[s - 1] + n * e for s, e in zip(self.sigma, self.eps)])
 
     def compose(self, other):
         """The element w with t.w = (t.self).other for every t."""
@@ -260,29 +275,38 @@ def tuple_orbit_rep(t, n):
     return tuple(sorted(bar_tuple(t, n)))
 
 
-def equivalent_middle(j, k, n):
-    """Some w with j.w = k, or None when the orbits differ.
+def affine_matchings(b, u, n):
+    """Every w with b.w = u, as an iterator of AffineWeylElement.
 
-    Exists exactly when the residue multisets modulo n agree.
+    Empty when the residue multisets of b and u modulo n differ.
     """
-    if len(j) != len(k):
-        raise ValueError("length mismatch")
-    r = len(j)
-    residues = {}
-    for pos, v in enumerate(j, start=1):
-        residues.setdefault(bar(v, n), []).append(pos)
-    sigma = [0] * r
-    eps = [0] * r
-    for m, target in enumerate(k, start=1):
-        pool = residues.get(bar(target, n))
-        if not pool:
-            return None
-        p = pool.pop()
-        sigma[m - 1] = p
-        eps[m - 1] = (target - j[p - 1]) // n
-    w = AffineWeylElement(sigma, eps)
-    assert w.apply(j, n) == tuple(k)
-    return w
+    if len(b) != len(u):
+        raise ValueError("tuple lengths differ: %d vs %d" % (len(b), len(u)))
+    sources, targets = defaultdict(list), defaultdict(list)
+    for pos, v in enumerate(b, start=1):
+        sources[v % n].append(pos)
+    for k, v in enumerate(u):
+        targets[v % n].append(k)
+    # With equal lengths, matching class sizes on u's side match them all.
+    if any(len(sources[c]) != len(ks) for c, ks in targets.items()):
+        return iter(())
+    order = [k for ks in targets.values() for k in ks]
+    blocks = [itertools.permutations(sources[c]) for c in targets]
+
+    def solutions():
+        sigma = [0] * len(u)
+        for images in itertools.product(*blocks):
+            for k, pos in zip(order, itertools.chain.from_iterable(images)):
+                sigma[k] = pos
+            eps = [(uk - b[pos - 1]) // n for uk, pos in zip(u, sigma)]
+            yield AffineWeylElement._unchecked(tuple(sigma), tuple(eps))
+
+    return solutions()
+
+
+def equivalent_middle(j, k, n):
+    """Some w with j.w = k, or None when the residue multisets differ."""
+    return next(affine_matchings(j, k, n), None)
 
 
 def weakly_increasing_tuples(n, r):

@@ -199,11 +199,37 @@ def test_corrupted_cache_fails_spot_check(tmp_path):
         )
         + "\n"
     )
-    code, _ = run_cli(
+    code, out = run_cli(
         ["--cache", str(path), "multiply", "-n", "1", "xi[(1)|(2)]*xi[(2)|(3)]"]
     )
     schur.set_persistent_cache(None)
     assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "record", [{"n": 1}, {"n": 0, "left": [[1, 2]], "right": [[1, 2]], "value": []}]
+)
+def test_malformed_cache_record_exits_one(tmp_path, capsys, record):
+    path = tmp_path / "mal.jsonl"
+    path.write_text(json.dumps({"format": 1}) + "\n" + json.dumps(record) + "\n")
+    code, out = run_cli(
+        ["--cache", str(path), "multiply", "-n", "1", "xi[(1)|(2)]*xi[(1)|(3)]"]
+    )
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "%s line 2" % path in err
+
+
+def test_cli_period_below_one_exits_one(capsys):
+    for argv in (
+        ["multiply", "-n", "0", "xi[(1)|(2)]*xi[(1)|(3)]"],
+        ["lie", "pi", "--s", "1", "--t", "2", "--n", "-1", "--r", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 1
+        assert "at least 1" in capsys.readouterr().err
 
 
 def test_spot_check_rederives_only_records_read_from_file(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from affine_schur.dual import multiply_schur_oracle
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
     AlgebraElement,
@@ -14,7 +17,7 @@ from affine_schur.tensor import (
     multiply_via_action,
     weyl_right_act,
 )
-from affine_schur.weyl import AffineWeylElement, all_perms
+from affine_schur.weyl import AffineWeylElement, all_perms, bar_tuple
 
 
 def test_act_worked_examples():
@@ -100,6 +103,25 @@ def test_multiply_via_action_matches_engine():
             x = AlgebraElement(n, r, {rng.choice(idxs): 1})
             y = AlgebraElement(n, r, {rng.choice(idxs): 1})
             assert multiply_via_action(x, y) == multiply(x, y)
+
+
+@pytest.mark.parametrize("n,r", [(2, 5), (2, 6), (3, 5), (3, 6)])
+def test_three_way_oracle_degree_five_and_six(n, r):
+    # seeded composable pairs with offsets in {-1, 0, 1}: the right factor's
+    # tops are the left factor's bottom residues, so every product is nonzero
+    rng = random.Random("three-way:%d:%d" % (n, r))
+
+    def bottoms():
+        return [rng.randint(1 - n, 2 * n) for _ in range(r)]
+
+    for _ in range(30):
+        j = bottoms()
+        x = AlgebraElement.basis(n, [rng.randint(1, n) for _ in range(r)], j)
+        y = AlgebraElement.basis(n, bar_tuple(j, n), bottoms())
+        want = multiply(x, y)
+        assert not want.is_zero()
+        assert multiply_schur_oracle(x, y) == want
+        assert multiply_via_action(x, y) == want
 
 
 def test_tensor_json_round_trip():

@@ -1,10 +1,13 @@
 import itertools
+import random
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from affine_schur.weyl import (
     AffineWeylElement,
+    affine_matchings,
     all_perms,
     bar,
     double_cosets,
@@ -150,6 +153,53 @@ def test_equivalent_middle_finds_orbit_moves(t, w):
     img = w.apply(t, n)
     found = equivalent_middle(t, img, n)
     assert found is not None and found.apply(t, n) == img
+
+
+def _brute_matchings(b, u, n):
+    """Every w with b.w = u, by filtering all r! permutations."""
+    out = set()
+    for sigma in all_perms(len(b)):
+        diff = [uk - b[s - 1] for uk, s in zip(u, sigma)]
+        if all(d % n == 0 for d in diff):
+            out.add(AffineWeylElement(sigma, [d // n for d in diff]))
+    return out
+
+
+def test_affine_matchings_brute_force():
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        for r in range(6):
+            for trial in range(24):
+                b = tuple(rng.randint(-n - 1, n + 1) for _ in range(r))
+                if trial % 2:
+                    u = tuple(rng.randint(-n - 1, 2 * n) for _ in range(r))
+                else:
+                    sigma = rng.choice(all_perms(r))
+                    w = AffineWeylElement(sigma, [rng.randint(-2, 2) for _ in range(r)])
+                    u = w.apply(b, n)
+                got = list(affine_matchings(b, u, n))
+                assert len(got) == len(set(got))
+                assert set(got) == _brute_matchings(b, u, n)
+                assert all(w.apply(b, n) == u for w in got)
+                if sorted(bar(v, n) for v in b) == sorted(bar(v, n) for v in u):
+                    classes = [bar(v, n) for v in b]
+                    want = prod(factorial(classes.count(c)) for c in set(classes))
+                    assert len(got) == want
+                else:
+                    assert got == []
+
+
+def test_affine_matchings_examples():
+    # repeated and negative entries: the two -1s swap freely, the 2 is forced
+    got = set(affine_matchings((-1, 2, -1), (1, -1, 4), 2))
+    assert got == {
+        AffineWeylElement((1, 3, 2), (1, 0, 1)),
+        AffineWeylElement((3, 1, 2), (1, 0, 1)),
+    }
+    assert list(affine_matchings((1, 1), (1, 2), 2)) == []
+    assert list(affine_matchings((), (), 3)) == [AffineWeylElement.identity(0)]
+    with pytest.raises(ValueError):
+        affine_matchings((1, 2), (1, 2, 3), 2)
 
 
 def test_orbit_rep():
