@@ -24,9 +24,6 @@ class StructureConstantCache:
     def __init__(self, path):
         self.path = path
         self.table = {}
-        # Keys read from the file, in file order; records put by this
-        # process are not listed.
-        self.loaded_keys = []
         self.lock = threading.Lock()
         self._header_ok = False
         self._load()
@@ -63,16 +60,21 @@ class StructureConstantCache:
                         "%s line %d: a cache record needs the fields n (at "
                         "least 1), left, right and value" % (self.path, lineno)
                     )
-                key = (
-                    rec["n"],
-                    _pairs_from_json(rec["left"]),
-                    _pairs_from_json(rec["right"]),
-                )
-                value = {
-                    _pairs_from_json(p): int(c) for p, c in rec["value"]
-                }
+                try:
+                    key = (
+                        rec["n"],
+                        _pairs_from_json(rec["left"]),
+                        _pairs_from_json(rec["right"]),
+                    )
+                    value = {
+                        _pairs_from_json(p): int(c) for p, c in rec["value"]
+                    }
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        "%s line %d: left and right are lists of integer pairs, "
+                        "value a list of [pairs, integer] entries" % (self.path, lineno)
+                    ) from None
                 self.table[key] = value
-                self.loaded_keys.append(key)
 
     def get(self, key):
         return self.table.get(key)
@@ -109,18 +111,10 @@ class StructureConstantCache:
     def clear(self):
         with self.lock:
             self.table.clear()
-            self.loaded_keys.clear()
             self._header_ok = False
             if os.path.exists(self.path):
                 os.remove(self.path)
 
 
 def _pairs_from_json(pairs):
-    return tuple(tuple(int(v) for v in p) for p in pairs)
-
-
-def cache_from_env():
-    path = os.environ.get(ENV_VAR)
-    if not path:
-        return None
-    return StructureConstantCache(path)
+    return tuple((int(top), int(bottom)) for top, bottom in pairs)

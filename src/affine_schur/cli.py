@@ -364,20 +364,6 @@ def build_parser():
     return parser
 
 
-def _spot_check_cache(store):
-    """Re-derive the first product read from the cache file; mismatch is a failure.
-
-    A record this process computed itself came from the same derivation, so
-    with nothing read from the file there is nothing to check.
-    """
-    if not store.loaded_keys:
-        return True
-    key = store.loaded_keys[0]
-    n, left, right = key
-    fresh = schur._green_product(left, right, n)
-    return fresh == store.table[key]
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -386,18 +372,16 @@ def main(argv=None):
     cache_path = args.cache or os.environ.get(cache_mod.ENV_VAR)
     try:
         if cache_path and args.command != "cache":
-            store = cache_mod.StructureConstantCache(cache_path)
-            schur.set_persistent_cache(store)
-            if not _spot_check_cache(store):
-                print(
-                    "error: persistent cache disagrees with a fresh derivation",
-                    file=sys.stderr,
-                )
-                return 2
+            schur.set_persistent_cache(cache_mod.StructureConstantCache(cache_path))
         return args.fn(args)
+    except schur.CacheMismatchError as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return 2
     except (UserError, ValueError, OSError, KeyError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
+    finally:
+        schur.set_persistent_cache(None)
 
 
 if __name__ == "__main__":

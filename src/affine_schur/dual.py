@@ -10,9 +10,11 @@ with the double-coset engine except the canonical labelling itself.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .laurent import Laurent
 from .schur import (
-    AlgebraElement,
+    bilinear,
     canonicalize,
     index_bottoms,
     index_tops,
@@ -56,26 +58,12 @@ def _middles_matching(x_pairs, p, n):
 
 
 def multiply_schur_oracle(x, y):
-    """Product via middle-tuple counting; bilinear extension."""
-    x._check_context(y)
-    terms = {}
-    for xp, xc in x.terms.items():
-        for yp, yc in y.terms.items():
-            coeff = xc * yc
-            for pairs, z in _schur_basis_product(xp, yp, x.n).items():
-                terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff * z
-    return AlgebraElement(x.n, x.r, terms)
+    """Product by middle-tuple counting."""
+    return bilinear(x, y, _schur_basis_product)
 
 
-_schur_memo = {}
-
-
+@lru_cache(maxsize=None)
 def _schur_basis_product(x_pairs, y_pairs, n):
-    key = (n, x_pairs, y_pairs)
-    hit = _schur_memo.get(key)
-    if hit is not None:
-        return hit
-
     i = index_tops(x_pairs)
     j = index_bottoms(x_pairs)
     k = index_tops(y_pairs)
@@ -97,13 +85,7 @@ def _schur_basis_product(x_pairs, y_pairs, n):
         z = sum(1 for s in middles if canonicalize(s, q_star, n) == y_pairs)
         if z:
             out[cand] = z
-
-    _schur_memo[key] = out
     return out
-
-
-def clear_memo():
-    _schur_memo.clear()
 
 
 # -- row-finite formal maps and the transpose-duality check --------------------
@@ -112,9 +94,7 @@ class RowFiniteMap:
     """A formal linear map between based spaces, given by a coefficient rule.
 
     ``apply(idx)`` returns the finite list of (output index, Laurent
-    coefficient) pairs for a source basis index; ``row_support(out_idx,
-    window)`` lists the source indices inside a window that can hit a given
-    output index (the declared row-finiteness witness).
+    coefficient) pairs for a source basis index.
     """
 
     def __init__(self, apply_fn, name="map"):
@@ -123,13 +103,6 @@ class RowFiniteMap:
 
     def apply(self, idx):
         return [(o, c) for o, c in self._apply(idx) if not c.is_zero()]
-
-    def coefficient(self, out_idx, in_idx):
-        total = Laurent.zero()
-        for o, c in self.apply(in_idx):
-            if o == out_idx:
-                total = total + c
-        return total
 
     def matrix(self, in_window, out_window):
         """Dense {(out, in): coeff} matrix over the given finite windows."""

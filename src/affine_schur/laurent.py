@@ -178,6 +178,13 @@ class Laurent:
 
     @classmethod
     def from_json(cls, data):
+        """Inverse of ``to_json``: a list of [exponent, "p/q"] pairs."""
+        if not isinstance(data, list) or not all(
+            isinstance(t, list) and len(t) == 2 for t in data
+        ):
+            raise ValueError(
+                'a coefficient is a list of [exponent, "p/q"] pairs, got %r' % (data,)
+            )
         return cls({int(e): parse_rational(str(c)) for e, c in data})
 
     @classmethod

@@ -14,6 +14,7 @@ before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .laurent import Laurent, format_rational, parse_rational
 from .schur import (
@@ -35,7 +36,8 @@ class LoopGenerator:
     __slots__ = ("n", "row", "col")
 
     def __init__(self, n, row, col):
-        assert 1 <= row <= n, "row must be in {1..%d}" % n
+        if not 1 <= row <= n:
+            raise ValueError("row must be in {1..%d}, got %d" % (n, row))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "row", int(row))
         object.__setattr__(self, "col", int(col))
@@ -268,9 +270,6 @@ class DecompositionError(RuntimeError):
     pass
 
 
-_y_memo = {}
-
-
 def decompose_y(pairs, n, _verify=True):
     """Express a basis element as a polynomial in index-at-most-one elements.
 
@@ -286,17 +285,11 @@ def decompose_y(pairs, n, _verify=True):
     return expr
 
 
+@lru_cache(maxsize=None)
 def _decompose_y(pairs, n):
-    key = (n, pairs)
-    hit = _y_memo.get(key)
-    if hit is not None:
-        return hit
-
     m = label_index(pairs)
     if m <= 1:
-        expr = Atom(pairs)
-        _y_memo[key] = expr
-        return expr
+        return Atom(pairs)
 
     # Put one moved coordinate first and replace its bottom by its top.
     order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0] == pairs[k][1], k))
@@ -328,9 +321,7 @@ def _decompose_y(pairs, n):
             )
         children.append(Scale(-coeff, _decompose_y(other, n)))
 
-    expr = Scale(Fraction(1, lead), Add(children))
-    _y_memo[key] = expr
-    return expr
+    return Scale(Fraction(1, lead), Add(children))
 
 
 # -- decomposition over X (r < n) --------------------------------------------------
@@ -361,15 +352,8 @@ def _splice_x(expr, n, r):
     return expr
 
 
-_x_memo = {}
-
-
+@lru_cache(maxsize=None)
 def _y_atom_over_x(pairs, n, r):
-    key = (n, pairs)
-    hit = _x_memo.get(key)
-    if hit is not None:
-        return hit
-
     moved = [(t, b) for t, b in pairs if t != b]
     assert len(moved) <= 1
 
@@ -407,8 +391,6 @@ def _y_atom_over_x(pairs, n, r):
                     "middle insertion failed for %s via %d" % (pairs, middle)
                 )
             expr = Mul([_y_atom_over_x(left, n, r), _y_atom_over_x(right, n, r)])
-
-    _x_memo[key] = expr
     return expr
 
 
@@ -417,9 +399,6 @@ def _shift_label(pairs, m, n):
     tops = tuple(t - m for t in index_tops(pairs))
     bottoms = tuple(b - m for b in index_bottoms(pairs))
     return canonicalize(tops, bottoms, n)
-
-
-_closure_memo = {}
 
 
 def _finite_over_x(pairs, n, r):
@@ -457,12 +436,8 @@ def _finite_over_x(pairs, n, r):
     return Add(expr_parts) if expr_parts else Scale(0, One())
 
 
+@lru_cache(maxsize=None)
 def _finite_closure(n, r):
-    key = (n, r)
-    hit = _closure_memo.get(key)
-    if hit is not None:
-        return hit
-
     gens = []
     for i in weakly_increasing_tuples(n, r - 1):
         for s in range(1, n):
@@ -517,12 +492,4 @@ def _finite_closure(n, r):
                 if stored:
                     new_frontier.append(stored)
         frontier = new_frontier
-
-    _closure_memo[key] = (gens, rows)
     return gens, rows
-
-
-def clear_memo():
-    _y_memo.clear()
-    _x_memo.clear()
-    _closure_memo.clear()

@@ -20,6 +20,7 @@ tables never lists the group, so there is no rank cap; the brute-force
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import lru_cache
 from math import factorial
 
 from .laurent import Laurent
@@ -70,42 +71,51 @@ def format_index(pairs):
 
 # -- structure constants -------------------------------------------------------
 
-_green_memo = {}
 _persistent_cache = None
 
 
+class CacheMismatchError(RuntimeError):
+    """A persistent-cache record differs from a fresh derivation of its product."""
+
+
 def set_persistent_cache(cache):
-    """Install a persistent structure-constant cache (or None to disable)."""
+    """Install a persistent structure-constant cache (or None to disable).
+
+    Installing a cache empties the in-process memo of ``structure_constants``,
+    so every record of the cache is re-derived when it is first used.
+    """
     global _persistent_cache
     _persistent_cache = cache
+    if cache is not None:
+        _forget_structure_constants()
 
 
-def clear_memo():
-    _green_memo.clear()
-
-
+@lru_cache(maxsize=None)
 def structure_constants(x_pairs, y_pairs, n):
     """The product xi_x * xi_y as a dict {canonical pairs: positive int}.
 
-    Memoized in-process and, when one is installed, in the persistent cache;
-    a miss is computed by ``_green_product``.
+    Computed by ``_green_product`` and memoized in-process.  When a persistent
+    cache is installed, a miss is written to it, and a record read from it is
+    re-derived the first time this process uses it; a mismatch raises
+    ``CacheMismatchError`` before the record can reach any output.
     """
     key = (n, x_pairs, y_pairs)
-    hit = _green_memo.get(key)
-    if hit is not None:
-        return hit
-    if _persistent_cache is not None:
-        hit = _persistent_cache.get(key)
-        if hit is not None:
-            _green_memo[key] = hit
-            return hit
-
     out = _green_product(x_pairs, y_pairs, n)
-
-    _green_memo[key] = out
     if _persistent_cache is not None:
-        _persistent_cache.put(key, out)
+        stored = _persistent_cache.get(key)
+        if stored is None:
+            _persistent_cache.put(key, out)
+        elif stored != out:
+            raise CacheMismatchError(
+                "persistent cache record for %s * %s (n=%d) disagrees with a "
+                "fresh derivation" % (format_index(x_pairs), format_index(y_pairs), n)
+            )
     return out
+
+
+# Bound here, so that a timing or profiling wrapper installed over the module
+# attribute ``structure_constants`` does not hide the memo's ``cache_clear``.
+_forget_structure_constants = structure_constants.cache_clear
 
 
 def _green_product(x_pairs, y_pairs, n):
@@ -327,16 +337,21 @@ class AlgebraElement:
         return cls(n, r, terms)
 
 
-def multiply(x, y):
-    """Bilinear extension of the basis product ``structure_constants``."""
+def bilinear(x, y, basis_product):
+    """The bilinear extension to elements of a basis product {pairs: int}."""
     x._check_context(y)
     terms = {}
     for xp, xc in x.terms.items():
         for yp, yc in y.terms.items():
             coeff = xc * yc
-            for pairs, sc in structure_constants(xp, yp, x.n).items():
-                terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff * sc
+            for pairs, z in basis_product(xp, yp, x.n).items():
+                terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff * z
     return AlgebraElement(x.n, x.r, terms)
+
+
+def multiply(x, y):
+    """Product by the double-coset structure constants."""
+    return bilinear(x, y, structure_constants)
 
 
 def identity(n, r):
@@ -377,9 +392,10 @@ class WeylSymmetry:
     def __init__(self, window):
         window = tuple(int(v) for v in window)
         n = len(window)
-        assert sorted(bar(v, n) for v in window) == list(range(1, n + 1)), (
-            "window residues must be a permutation of 1..n"
-        )
+        if sorted(bar(v, n) for v in window) != list(range(1, n + 1)):
+            raise ValueError(
+                "window residues must be a permutation of 1..%d, got %s" % (n, window)
+            )
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "n", n)
 
@@ -398,7 +414,8 @@ class WeylSymmetry:
     @classmethod
     def s(cls, n, i):
         """The reflection swapping the residue classes of i and i+1."""
-        assert 1 <= i <= n
+        if not 1 <= i <= n:
+            raise ValueError("reflection index must be in 1..%d, got %d" % (n, i))
         window = list(range(1, n + 1))
         if i < n:
             window[i - 1], window[i] = i + 1, i

@@ -100,9 +100,6 @@ class PeriodicMatrix:
     def transpose(self):
         return PeriodicMatrix(self.n, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def is_rational(self):
-        return all(v.is_constant() for v in self.entries.values())
-
     def to_laurent_matrix(self):
         """The n x n matrix over Q[t, t^-1]: entry (i,j) collects offsets."""
         mat = [[Laurent.zero() for _ in range(self.n)] for _ in range(self.n)]

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from .laurent import Laurent
 from .schur import (
-    AlgebraElement,
+    bilinear,
     canonicalize,
     index_bottoms,
     index_tops,
@@ -161,17 +162,9 @@ class ReconstructionError(RuntimeError):
     """The composite action is not the action of any candidate combination."""
 
 
-_action_memo = {}
-
-
+@lru_cache(maxsize=None)
 def _action_basis_product(x_pairs, y_pairs, n):
     """Structure constants recovered from the composite tensor action."""
-    key = (n, x_pairs, y_pairs)
-    hit = _action_memo.get(key)
-    if hit is not None:
-        return hit
-
-    r = len(x_pairs)
     u = middle_orbit_rep(y_pairs, n)
     first = _basis_action_on_tuple(y_pairs, u, n)
     composite = {}
@@ -202,22 +195,9 @@ def _action_basis_product(x_pairs, y_pairs, n):
             else:
                 residual.pop(q, None)
         out[cand] = int(z)
-
-    _action_memo[key] = out
     return out
 
 
 def multiply_via_action(x, y):
     """Product reconstructed from the composite action on orbit representatives."""
-    x._check_context(y)
-    terms = {}
-    for xp, xc in x.terms.items():
-        for yp, yc in y.terms.items():
-            coeff = xc * yc
-            for pairs, z in _action_basis_product(xp, yp, x.n).items():
-                terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff * z
-    return AlgebraElement(x.n, x.r, terms)
-
-
-def clear_memo():
-    _action_memo.clear()
+    return bilinear(x, y, _action_basis_product)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .weyl import affine_matchings, apply_perm, invert_perm
+from .weyl import AffineWeylElement, affine_matchings, apply_perm, invert_perm
 
 
 class OperatorSum:
@@ -82,12 +82,6 @@ class OperatorSum:
         """The translate a^g relabelling both indices by the action."""
         return OperatorSum(
             {(action(i, g), action(j, g)): c for (i, j), c in self.terms.items()}
-        )
-
-    def restrict(self, window):
-        window = set(window)
-        return OperatorSum(
-            {k: c for k, c in self.terms.items() if k[0] in window and k[1] in window}
         )
 
     def __str__(self):
@@ -292,29 +286,14 @@ def affine_mackey_window(a, h1, b, h2, n, window):
     candidates = [
         w for _, j in a.terms for k, _ in b.terms for w in affine_matchings(k, j, n)
     ]
-    reps = []
-    covered = set()
-    for w in candidates:
-        if w in covered:
-            continue
-        reps.append(w)
-        for x in h2:
-            for y in h1:
-                covered.add(x.compose(w).compose(y))
-
     rhs = OperatorSum.zero()
-    wset = set(tuple(t) for t in window)
-    for w in reps:
+    h1set = set(h1)
+    mul, inv = AffineWeylElement.compose, AffineWeylElement.inverse
+    for w in double_coset_reps(h1, candidates, h2, mul):
         term_arg = a * b.translate(w, action)
         if term_arg.is_zero():
             continue
-        h2w = [w.inverse().compose(g).compose(w) for g in h2]
-        h1set = set(h1)
+        h2w = conjugate_subgroup(h2, w, mul, inv)
         inter = [g for g in h2w if g in h1set]
-        cols = {}
-        for s in window:
-            for (p, c) in affine_transfer_column(term_arg, inter, n, tuple(s)):
-                if p in wset:
-                    cols[(p, tuple(s))] = cols.get((p, tuple(s)), Fraction(0)) + c
-        rhs = rhs + OperatorSum(cols)
+        rhs = rhs + affine_transfer_window(term_arg, inter, n, window)
     return lhs, rhs

@@ -208,7 +208,13 @@ def test_corrupted_cache_fails_spot_check(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "record", [{"n": 1}, {"n": 0, "left": [[1, 2]], "right": [[1, 2]], "value": []}]
+    "record",
+    [
+        {"n": 1},
+        {"n": 0, "left": [[1, 2]], "right": [[1, 2]], "value": []},
+        {"n": 1, "left": "x", "right": [[1, 2]], "value": []},
+        {"n": 1, "left": [[1, 2]], "right": [[1, 2]], "value": [[[[1, 3]], "x"]]},
+    ],
 )
 def test_malformed_cache_record_exits_one(tmp_path, capsys, record):
     path = tmp_path / "mal.jsonl"
@@ -219,6 +225,51 @@ def test_malformed_cache_record_exits_one(tmp_path, capsys, record):
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "%s line 2" % path in err
+
+
+def test_poisoned_later_cache_record_exits_two(tmp_path):
+    path = tmp_path / "two.jsonl"
+    for product in ("xi[(1)|(2)]*xi[(1)|(3)]", "xi[(1)|(2)]*xi[(1)|(4)]"):
+        assert run_cli(["--cache", str(path), "multiply", "-n", "1", product])[0] == 0
+    header, first, second = path.read_text().splitlines()
+    record = json.loads(second)
+    record["value"][0][1] = 99
+    path.write_text("\n".join([header, first, json.dumps(record)]) + "\n")
+    code, out = run_cli(
+        ["--cache", str(path), "multiply", "-n", "1", "xi[(1)|(2)]*xi[(1)|(4)]", "--text"]
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(
+        json.dumps({"n": 1, "r": 2, "terms": [{"coeff": {"1": 1}, "tuple": [1, 2]}]})
+    )
+    code, out = run_cli(["act", "xi[(1,1)|(1,2)]", str(path), "-n", "1"])
+    assert code == 1 and out == ""
+    assert 'a coefficient is a list of [exponent, "p/q"] pairs' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "xi[(1,2)|(1,2)]", "-n", "2", "--window", "(1,1)"],
+        ["weyl", "xi[(1,2)|(1,2)]", "-n", "2", "--si", "5"],
+        ["lie", "pi", "--s", "5", "--t", "1", "--n", "2", "--r", "1"],
+    ],
+)
+def test_invalid_input_exits_one_under_optimize(argv):
+    # -O strips assert statements, so input checks must not be asserts
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "affine_schur.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 def test_cli_period_below_one_exits_one(capsys):
@@ -244,16 +295,16 @@ def test_spot_check_rederives_only_records_read_from_file(tmp_path, monkeypatch)
     monkeypatch.setattr(schur, "_green_product", counting)
     args = ["--cache", path, "multiply", "-n", "1", "xi[(1,1,1)|(0,1,2)]*xi[(1,1,1)|(1,2,3)]"]
     try:
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
         cold = run_cli(args)
         assert len(derived) == 1  # the product itself, no spot check
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
         warm = run_cli(args)
         assert len(derived) == 2  # read from the file, then spot-checked
         assert cold == warm and cold[0] == 0
     finally:
         schur.set_persistent_cache(None)
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
 
 
 def test_cli_multiply_past_rank_eight():
@@ -274,15 +325,15 @@ def test_persistent_cache(tmp_path):
     schur.set_persistent_cache(store)
     try:
         x = ((1, 1), (1, 2))
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
         first = structure_constants(x, x, 1)
         # a fresh process state must reproduce the cached values exactly
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
         store2 = cache_mod.StructureConstantCache(path)
         schur.set_persistent_cache(store2)
         cached = structure_constants(x, x, 1)
         assert cached == first
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
         schur.set_persistent_cache(None)
         fresh = structure_constants(x, x, 1)
         assert fresh == first
@@ -291,7 +342,7 @@ def test_persistent_cache(tmp_path):
         assert not os.path.exists(path)
     finally:
         schur.set_persistent_cache(None)
-        schur.clear_memo()
+        schur.structure_constants.cache_clear()
 
 
 def test_cli_cache_commands(tmp_path):

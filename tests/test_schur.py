@@ -158,7 +158,7 @@ def test_weyl_act_is_automorphism():
 
 
 def test_weyl_symmetry_window_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         WeylSymmetry((1, 3))  # residues collide mod 2
     w = WeylSymmetry((0, 1))
     assert w(1) == 0 and w(2) == 1 and w(3) == 2

@@ -1,18 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from affine_schur.dual import multiply_schur_oracle
+from affine_schur.dual import _schur_basis_product, multiply_schur_oracle
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
     AlgebraElement,
     basis_indices,
+    canonicalize,
     identity,
     middle_orbit_rep,
     multiply,
+    structure_constants,
 )
 from affine_schur.tensor import (
     TensorVector,
+    _action_basis_product,
     act,
     multiply_via_action,
     weyl_right_act,
@@ -122,6 +126,45 @@ def test_three_way_oracle_degree_five_and_six(n, r):
         assert not want.is_zero()
         assert multiply_schur_oracle(x, y) == want
         assert multiply_via_action(x, y) == want
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_three_way_oracle_multi_term_laurent(n, r):
+    # seeded elements of four terms, each coefficient with two powers of a
+    rng = random.Random("multi-term:%d:%d" % (n, r))
+    idxs = basis_indices(n, r, 1)
+
+    def element():
+        return AlgebraElement(n, r, {
+            rng.choice(idxs): Laurent({
+                0: rng.choice([-2, -1, 1, 3]),
+                rng.choice([-2, -1, 1, 2]): Fraction(rng.choice([-1, 1]), rng.randint(1, 3)),
+            })
+            for _ in range(4)
+        })
+
+    nonzero = 0
+    for _ in range(10):
+        x, y = element(), element()
+        want = multiply(x, y)
+        nonzero += not want.is_zero()
+        assert multiply_schur_oracle(x, y) == want
+        assert multiply_via_action(x, y) == want
+    assert nonzero
+
+
+@pytest.mark.parametrize(
+    "basis_product", [structure_constants, _schur_basis_product, _action_basis_product]
+)
+def test_basis_product_memo(basis_product):
+    x = canonicalize((1, 2), (2, 3), 2)
+    y = canonicalize((2, 1), (1, 4), 2)
+    first = basis_product(x, y, 2)
+    hits = basis_product.cache_info().hits
+    assert basis_product(x, y, 2) is first
+    assert basis_product.cache_info().hits == hits + 1
+    basis_product.cache_clear()
+    assert basis_product.cache_info().currsize == 0
 
 
 def test_tensor_json_round_trip():
