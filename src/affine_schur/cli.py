@@ -208,11 +208,7 @@ def cmd_witness(args):
     poly = []
     n = args.n
     for entry in data:
-        pairs = schur.canonicalize(
-            tuple(p[0] for p in entry["pairs"]),
-            tuple(p[1] for p in entry["pairs"]),
-            n,
-        )
+        pairs = schur.label_from_json(entry["pairs"], n)
         poly.append((pairs, parse_rational(str(entry["coeff"]))))
     a0 = parse_rational(args.a0) if args.a0 else Fraction(1)
     g, value = nonvanishing_witness(poly, n, special=args.special, a0=a0)

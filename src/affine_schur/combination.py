@@ -1,0 +1,123 @@
+"""Finite linear combinations: the arithmetic shared by the package's free modules.
+
+Algebra elements (sums of xi basis elements), tensor vectors (sums of v_u),
+periodic matrices (sums of E_ij) and transfer operators (sums of x_ij) are
+all finitely supported maps from keys to nonzero coefficients, inside a
+context such as the period n and the degree r.  ``Combination`` holds what
+they share: equality, hashing, addition, negation and scaling.
+
+There are two constructors.  The public one is for input from outside the
+program: it normalizes or rejects every key, coerces every coefficient, and
+raises ``ValueError`` on malformed input, also under ``python -O``.
+``_from_items`` is for results computed inside the package whose keys are
+already normal and whose coefficients are already coerced: it only adds the
+coefficients of equal keys and drops the zero sums.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+from .laurent import Laurent
+
+
+def accumulate(items):
+    """{key: sum of its coefficients} over (key, coeff) items, zero sums dropped.
+
+    Keys keep the order of their first appearance.
+    """
+    out = {}
+    for key, c in items:
+        prior = out.get(key)
+        out[key] = c if prior is None else prior + c
+    return {key: c for key, c in out.items() if c}
+
+
+def checked_int(value, name, least):
+    """``value`` as an int of at least ``least``, else ``ValueError``."""
+    out = int(value)
+    if out < least:
+        raise ValueError("%s must be at least %d, got %d" % (name, least, out))
+    return out
+
+
+class Combination:
+    """An immutable finite sum of coefficients times keys, in a context.
+
+    A subclass declares ``__slots__ = ()``, a public ``__init__`` that passes
+    its checked context tuple and the terms to this one, and ``_key``, which
+    normalizes one key given from outside or raises ``ValueError``.
+    Coefficients are Laurent polynomials unless ``_coeff`` is overridden.
+    """
+
+    __slots__ = ("context", "terms")
+
+    def __init__(self, context, terms=None):
+        """The public constructor, for terms given from outside the program.
+
+        ``terms`` is a mapping or an iterable of (key, coeff) items; keys that
+        normalize alike are added.
+        """
+        object.__setattr__(self, "context", context)
+        items = terms.items() if hasattr(terms, "items") else terms or ()
+        object.__setattr__(
+            self, "terms", accumulate((self._key(k), self._coeff(c)) for k, c in items)
+        )
+
+    @classmethod
+    def _from_items(cls, context, items):
+        """The trusted constructor: normal keys and coerced coefficients only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "terms", accumulate(items))
+        return self
+
+    @staticmethod
+    def _coeff(c):
+        return c if isinstance(c, Laurent) else Laurent.const(c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s values are immutable" % type(self).__name__)
+
+    @classmethod
+    def zero(cls, *context):
+        return cls(*context)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check_context(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                "expected %s, got %s" % (type(self).__name__, type(other).__name__)
+            )
+        if other.context != self.context:
+            raise ValueError(
+                "context mismatch: %s vs %s" % (self.context, other.context)
+            )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.context == other.context and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.context + (frozenset(self.terms.items()),))
+
+    def __add__(self, other):
+        self._check_context(other)
+        return self._from_items(
+            self.context, chain(self.terms.items(), other.terms.items())
+        )
+
+    def __neg__(self):
+        return self._from_items(self.context, ((k, -c) for k, c in self.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        coeff = self._coeff(coeff)
+        return self._from_items(
+            self.context, ((k, coeff * c) for k, c in self.terms.items())
+        )

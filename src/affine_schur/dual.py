@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .combination import accumulate
 from .laurent import Laurent
 from .schur import (
     bilinear,
@@ -107,12 +108,12 @@ class RowFiniteMap:
     def matrix(self, in_window, out_window):
         """Dense {(out, in): coeff} matrix over the given finite windows."""
         out_set = set(out_window)
-        mat = {}
-        for idx in in_window:
-            for o, c in self.apply(idx):
-                if o in out_set:
-                    mat[(o, idx)] = mat.get((o, idx), Laurent.zero()) + c
-        return {k: v for k, v in mat.items() if not v.is_zero()}
+        return accumulate(
+            ((o, idx), c)
+            for idx in in_window
+            for o, c in self.apply(idx)
+            if o in out_set
+        )
 
 
 def compose_maps(g, f, in_window, out_window, mid_window):
@@ -125,15 +126,12 @@ def _transpose(mat):
 
 
 def _mat_mul(m1, m2):
-    out = {}
     by_col = {}
     for (a, b), c in m2.items():
         by_col.setdefault(a, []).append((b, c))
-    for (u, w), c1 in m1.items():
-        for v, c2 in by_col.get(w, []):
-            key = (u, v)
-            out[key] = out.get(key, Laurent.zero()) + c1 * c2
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return accumulate(
+        ((u, v), c1 * c2) for (u, w), c1 in m1.items() for v, c2 in by_col.get(w, [])
+    )
 
 
 def sharp_compose_check(f, g, in_window, mid_window, out_window):
@@ -188,8 +186,7 @@ def det_multiplication_map(n, r, window, height_scalar=None):
         height_scalar = Laurent.gen
     base = tuple(range(1, n + 1))
 
-    def apply_fn(pairs):
-        merged = {}
+    def items(pairs):
         for sigma in _perms(n):
             sign = perm_sign(sigma)
             for eps in itertools.product(range(-window, window + 1), repeat=n):
@@ -198,9 +195,9 @@ def det_multiplication_map(n, r, window, height_scalar=None):
                     tuple(sigma[m] + n * eps[m] for m in range(n))
                     + index_bottoms(pairs)
                 )
-                idx = canonicalize(tops, bottoms, n)
-                term = height_scalar(sum(eps)) * sign
-                merged[idx] = merged.get(idx, Laurent.zero()) + term
-        return list(merged.items())
+                yield canonicalize(tops, bottoms, n), height_scalar(sum(eps)) * sign
+
+    def apply_fn(pairs):
+        return accumulate(items(pairs)).items()
 
     return RowFiniteMap(apply_fn, name="det_mult")

@@ -47,17 +47,17 @@ def psi_as(x, s, height_scalar=_height_scalar):
     embedding (the index-weighted formula with the Kronecker exponent).
     """
     n = x.n
-    terms = {}
-    for pairs, c in x.terms.items():
-        i = index_tops(pairs)
-        j, eps = split_offsets(pairs, n)
-        coeff = c * height_scalar(sum(eps))
-        if s == 0:
-            coeff = coeff * collapse_index(pairs, n)
-        bottom = tuple(v + n * s * e for v, e in zip(j, eps))
-        idx = canonicalize(i, bottom, n)
-        terms[idx] = terms.get(idx, Laurent.zero()) + coeff
-    return AlgebraElement(x.n, x.r, terms)
+
+    def items():
+        for pairs, c in x.terms.items():
+            j, eps = split_offsets(pairs, n)
+            coeff = c * height_scalar(sum(eps))
+            if s == 0:
+                coeff = coeff * collapse_index(pairs, n)
+            bottom = tuple(v + n * s * e for v, e in zip(j, eps))
+            yield canonicalize(index_tops(pairs), bottom, n), coeff
+
+    return AlgebraElement._from_items(x.context, items())
 
 
 def psi_a(x, height_scalar=_height_scalar):
@@ -114,16 +114,17 @@ def det_tilde_sharp(x, height_scalar=_height_scalar):
     n = x.n
     if x.r < n:
         raise ValueError("source degree must be at least n")
-    r_out = x.r - n
-    terms = {}
-    for pairs, c in x.terms.items():
-        for pattern, rest in _det_patterns(pairs, n):
-            # pattern entry for top m is (m, sigma(m) + n*eps_m)
-            sigma = tuple(bar(p[1], n) for p in pattern)
-            eps = tuple((p[1] - bar(p[1], n)) // n for p in pattern)
-            coeff = c * height_scalar(sum(eps)) * perm_sign(sigma)
-            terms[rest] = terms.get(rest, Laurent.zero()) + coeff
-    return AlgebraElement(n, r_out, terms)
+
+    def items():
+        for pairs, c in x.terms.items():
+            for pattern, rest in _det_patterns(pairs, n):
+                # pattern entry for top m is (m, sigma(m) + n*eps_m)
+                sigma = tuple(bar(p[1], n) for p in pattern)
+                eps = tuple((p[1] - bar(p[1], n)) // n for p in pattern)
+                yield rest, c * height_scalar(sum(eps)) * perm_sign(sigma)
+
+    # The remainder of a canonical label is sorted with tops in 1..n.
+    return AlgebraElement._from_items((n, x.r - n), items())
 
 
 def det_tilde_sharp_at(x, a0):
@@ -131,7 +132,8 @@ def det_tilde_sharp_at(x, a0):
     from fractions import Fraction
 
     a0 = Fraction(a0)
-    assert a0 != 0
+    if a0 == 0:
+        raise ValueError("the specialization point a0 must be nonzero")
     return det_tilde_sharp(x, height_scalar=lambda ht: Laurent.const(a0 ** ht))
 
 

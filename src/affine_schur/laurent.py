@@ -193,8 +193,3 @@ class Laurent:
         from .expr import parse_scalar
 
         return parse_scalar(text, symbol=symbol)
-
-
-ZERO = Laurent.zero()
-ONE = Laurent.one()
-A = Laurent.gen()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .combination import accumulate
 from .laurent import Laurent, format_rational, parse_rational
 from .schur import (
     AlgebraElement,
@@ -64,7 +65,8 @@ class LoopGenerator:
 
 def pi_tilde(gen, r):
     """The image of an elementary loop matrix in the degree-r algebra."""
-    assert r >= 1
+    if r < 1:
+        raise ValueError("the degree r must be at least 1, got %d" % r)
     n, s, t = gen.n, gen.row, gen.col
     terms = {}
     if s == t:
@@ -83,7 +85,7 @@ def pi_tilde(gen, r):
 def pi_tilde_matrix(m, r):
     """Linear extension of the generator images to a periodic matrix."""
     out = AlgebraElement.zero(m.n, r)
-    for (i, j), v in m.entries.items():
+    for (i, j), v in m.terms.items():
         out = out + pi_tilde(LoopGenerator(m.n, i, j), r).scale(v)
     return out
 
@@ -162,7 +164,6 @@ class Atom(Expr):
         self.pairs = tuple(tuple(p) for p in pairs)
 
     def evaluate(self, n, r):
-        assert len(self.pairs) == r
         return AlgebraElement(n, r, {self.pairs: 1})
 
     def to_json(self):
@@ -481,11 +482,11 @@ def _finite_closure(n, r):
         new_frontier = []
         for vec, expr in frontier:
             for g in gens:
-                prod = {}
-                for label, c in vec.items():
-                    for out, sc in structure_constants(label, g, n).items():
-                        prod[out] = prod.get(out, Fraction(0)) + c * sc
-                prod = {k: v for k, v in prod.items() if v}
+                prod = accumulate(
+                    (out, c * sc)
+                    for label, c in vec.items()
+                    for out, sc in structure_constants(label, g, n).items()
+                )
                 if not prod:
                     continue
                 stored = insert(prod, Mul([expr, Atom(g)]))

@@ -23,6 +23,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from math import factorial
 
+from .combination import Combination, checked_int
 from .laurent import Laurent
 from .weyl import bar, bar_tuple, tuple_orbit_rep, weakly_increasing_tuples
 
@@ -179,34 +180,28 @@ def _green_product(x_pairs, y_pairs, n):
 
 # -- algebra elements ----------------------------------------------------------
 
-class AlgebraElement:
+class AlgebraElement(Combination):
     """A finite sum of canonical basis elements with Laurent coefficients."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ()
 
     def __init__(self, n, r, terms=None):
-        clean = {}
-        if terms:
-            for pairs, coeff in dict(terms).items():
-                if not isinstance(coeff, Laurent):
-                    coeff = Laurent.const(coeff)
-                if coeff.is_zero():
-                    continue
-                pairs = tuple(tuple(p) for p in pairs)
-                assert len(pairs) == r
-                assert all(1 <= p[0] <= n for p in pairs), "index not canonical"
-                assert pairs == tuple(sorted(pairs)), "index not canonical"
-                clean[pairs] = coeff
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "terms", clean)
+        super().__init__((checked_int(n, "n", 1), checked_int(r, "r", 0)), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    n = property(lambda self: self.context[0])
+    r = property(lambda self: self.context[1])
 
-    @classmethod
-    def zero(cls, n, r):
-        return cls(n, r)
+    def _key(self, pairs):
+        n, r = self.context
+        pairs = tuple(tuple(p) for p in pairs)
+        if len(pairs) != r:
+            raise ValueError(
+                "label %s has %d pairs, the element has r=%d" % (pairs, len(pairs), r)
+            )
+        tops_reduced = all(len(p) == 2 and 1 <= p[0] <= n for p in pairs)
+        if not tops_reduced or list(pairs) != sorted(pairs):
+            raise ValueError("label %s is not canonical for n=%d" % (pairs, n))
+        return pairs
 
     @classmethod
     def basis(cls, n, i, j, coeff=1):
@@ -220,50 +215,8 @@ class AlgebraElement:
         pairs = canonicalize(index_tops(pairs), index_bottoms(pairs), n)
         return cls(n, len(pairs), {pairs: coeff})
 
-    def context(self):
-        return (self.n, self.r)
-
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, pairs):
         return self.terms.get(tuple(tuple(p) for p in pairs), Laurent.zero())
-
-    def _check_context(self, other):
-        if not isinstance(other, AlgebraElement):
-            raise TypeError("expected AlgebraElement")
-        if self.context() != other.context():
-            raise ValueError(
-                "context mismatch: %s vs %s" % (self.context(), other.context())
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.context() == other.context() and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, self.r, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._check_context(other)
-        terms = dict(self.terms)
-        for pairs, c in other.terms.items():
-            terms[pairs] = terms.get(pairs, Laurent.zero()) + c
-        return AlgebraElement(self.n, self.r, terms)
-
-    def __neg__(self):
-        return AlgebraElement(self.n, self.r, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, Laurent):
-            coeff = Laurent.const(coeff)
-        return AlgebraElement(
-            self.n, self.r, {p: coeff * c for p, c in self.terms.items()}
-        )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -275,10 +228,9 @@ class AlgebraElement:
 
     def specialize(self, a0):
         """Substitute the formal parameter by a nonzero rational."""
-        return AlgebraElement(
-            self.n,
-            self.r,
-            {p: Laurent.const(c.evaluate(a0)) for p, c in self.terms.items()},
+        return self._from_items(
+            self.context,
+            ((p, Laurent.const(c.evaluate(a0))) for p, c in self.terms.items()),
         )
 
     def is_finite_support(self):
@@ -324,29 +276,40 @@ class AlgebraElement:
 
     @classmethod
     def from_json(cls, data):
-        n, r = int(data["n"]), int(data["r"])
-        terms = {}
-        for entry in data.get("terms", []):
-            pairs = canonicalize(
-                tuple(p[0] for p in entry["pairs"]),
-                tuple(p[1] for p in entry["pairs"]),
-                n,
-            )
-            coeff = Laurent.from_json(entry["coeff"])
-            terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff
-        return cls(n, r, terms)
+        n = int(data["n"])
+        return cls(n, data["r"], (
+            (label_from_json(entry["pairs"], n), Laurent.from_json(entry["coeff"]))
+            for entry in data.get("terms", [])
+        ))
+
+
+def label_from_json(pairs, n):
+    """The canonical label of a JSON list of [top, bottom] integer pairs."""
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(p, (list, tuple))
+        and len(p) == 2
+        and all(isinstance(v, int) for v in p)
+        for p in pairs
+    ):
+        raise ValueError(
+            "a label is a list of [top, bottom] integer pairs, got %r" % (pairs,)
+        )
+    return canonicalize(index_tops(pairs), index_bottoms(pairs), n)
 
 
 def bilinear(x, y, basis_product):
     """The bilinear extension to elements of a basis product {pairs: int}."""
     x._check_context(y)
-    terms = {}
-    for xp, xc in x.terms.items():
-        for yp, yc in y.terms.items():
-            coeff = xc * yc
-            for pairs, z in basis_product(xp, yp, x.n).items():
-                terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff * z
-    return AlgebraElement(x.n, x.r, terms)
+    n = x.n
+
+    def items():
+        for xp, xc in x.terms.items():
+            for yp, yc in y.terms.items():
+                coeff = xc * yc
+                for pairs, z in basis_product(xp, yp, n).items():
+                    yield pairs, coeff * z
+
+    return AlgebraElement._from_items(x.context, items())
 
 
 def multiply(x, y):
@@ -356,11 +319,8 @@ def multiply(x, y):
 
 def identity(n, r):
     """Sum of the orthogonal idempotents xi_{i,i}, i over I(n,r)/Sigma_r."""
-    terms = {}
-    for t in weakly_increasing_tuples(n, r):
-        pairs = tuple((v, v) for v in t)
-        terms[pairs] = Laurent.one()
-    return AlgebraElement(n, r, terms)
+    diagonal = (tuple((v, v) for v in t) for t in weakly_increasing_tuples(n, r))
+    return AlgebraElement(n, r, {pairs: Laurent.one() for pairs in diagonal})
 
 
 def basis_indices(n, r, window):
@@ -457,22 +417,19 @@ def weyl_act(w, x):
     """The algebra automorphism xi_{i,j} -> xi_{w(i),w(j)} extended linearly."""
     if w.n != x.n:
         raise ValueError("symmetry is for n=%d, element has n=%d" % (w.n, x.n))
-    terms = {}
-    for pairs, c in x.terms.items():
-        tops = w.apply_tuple(index_tops(pairs))
-        bottoms = w.apply_tuple(index_bottoms(pairs))
-        idx = canonicalize(tops, bottoms, x.n)
-        terms[idx] = terms.get(idx, Laurent.zero()) + c
-    return AlgebraElement(x.n, x.r, terms)
+    apply = w.apply_tuple
+    return AlgebraElement._from_items(x.context, (
+        (canonicalize(apply(index_tops(p)), apply(index_bottoms(p)), x.n), c)
+        for p, c in x.terms.items()
+    ))
 
 
 def transpose_antiauto(x):
     """The anti-automorphism swapping the two tuples of every label."""
-    terms = {}
-    for pairs, c in x.terms.items():
-        idx = canonicalize(index_bottoms(pairs), index_tops(pairs), x.n)
-        terms[idx] = terms.get(idx, Laurent.zero()) + c
-    return AlgebraElement(x.n, x.r, terms)
+    return AlgebraElement._from_items(x.context, (
+        (canonicalize(index_bottoms(p), index_tops(p), x.n), c)
+        for p, c in x.terms.items()
+    ))
 
 
 def middle_orbit_rep(pairs, n):

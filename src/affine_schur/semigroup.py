@@ -14,40 +14,29 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .combination import Combination, checked_int
 from .laurent import Laurent, format_rational, parse_rational
 from .schur import AlgebraElement
 from .weyl import all_perms, bar, perm_sign
 
 
-class PeriodicMatrix:
-    """A row-finite matrix with m[i, j] == m[i+n, j+n], finitely supported."""
+class PeriodicMatrix(Combination):
+    """A row-finite matrix with m[i, j] == m[i+n, j+n], finitely supported.
 
-    __slots__ = ("n", "entries")
+    ``terms`` maps each (row, column) with the row in 1..n to its entry.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n, entries=None):
-        clean = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                if not isinstance(v, Laurent):
-                    v = Laurent.const(v)
-                if v.is_zero():
-                    continue
-                row = bar(i, n)
-                col = j + row - i
-                key = (row, col)
-                prior = clean.get(key)
-                clean[key] = v if prior is None else prior + v
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "entries", {k: v for k, v in clean.items() if not v.is_zero()}
-        )
+        super().__init__((checked_int(n, "n", 1),), entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    n = property(lambda self: self.context[0])
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    def _key(self, key):
+        i, j = map(int, key)
+        row = bar(i, self.n)
+        return (row, j + row - i)
 
     @classmethod
     def identity(cls, n):
@@ -60,50 +49,22 @@ class PeriodicMatrix:
 
     def entry(self, i, j):
         row = bar(i, self.n)
-        return self.entries.get((row, j + row - i), Laurent.zero())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PeriodicMatrix)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.entries.items())))
-
-    def __add__(self, other):
-        assert self.n == other.n
-        terms = dict(self.entries)
-        for k, v in other.entries.items():
-            terms[k] = terms.get(k, Laurent.zero()) + v
-        return PeriodicMatrix(self.n, terms)
-
-    def __neg__(self):
-        return PeriodicMatrix(self.n, {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, Laurent):
-            coeff = Laurent.const(coeff)
-        return PeriodicMatrix(self.n, {k: coeff * v for k, v in self.entries.items()})
+        return self.terms.get((row, j + row - i), Laurent.zero())
 
     def __mul__(self, other):
         if isinstance(other, PeriodicMatrix):
             return matrix_mul(self, other)
         return self.scale(other)
 
-    __rmul__ = scale
+    __rmul__ = Combination.scale
 
     def transpose(self):
-        return PeriodicMatrix(self.n, {(j, i): v for (i, j), v in self.entries.items()})
+        return PeriodicMatrix(self.n, (((j, i), v) for (i, j), v in self.terms.items()))
 
     def to_laurent_matrix(self):
         """The n x n matrix over Q[t, t^-1]: entry (i,j) collects offsets."""
         mat = [[Laurent.zero() for _ in range(self.n)] for _ in range(self.n)]
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.terms.items():
             col = bar(j, self.n)
             off = (j - col) // self.n
             assert v.is_constant(), "Laurent-matrix form needs rational entries"
@@ -115,20 +76,21 @@ class PeriodicMatrix:
     @classmethod
     def from_laurent_matrix(cls, mat):
         n = len(mat)
-        entries = {}
-        for i in range(n):
-            assert len(mat[i]) == n
-            for j in range(n):
-                for off, c in mat[i][j].terms.items():
-                    entries[(i + 1, j + 1 + n * off)] = Laurent.const(c)
-        return cls(n, entries)
+        if any(len(row) != n for row in mat):
+            raise ValueError("a Laurent matrix is square")
+        return cls(n, (
+            ((i, j + n * off), c)
+            for i, row in enumerate(mat, 1)
+            for j, entry in enumerate(row, 1)
+            for off, c in entry.terms.items()
+        ))
 
     def __str__(self):
-        if not self.entries:
+        if not self.terms:
             return "0"
         chunks = []
-        for (i, j) in sorted(self.entries):
-            v = self.entries[(i, j)]
+        for (i, j) in sorted(self.terms):
+            v = self.terms[(i, j)]
             txt = v.format()
             if not v.is_one():
                 if ("+" in txt[1:]) or ("-" in txt[1:]):
@@ -142,7 +104,7 @@ class PeriodicMatrix:
 
     def to_json(self):
         out = {"n": self.n, "entries": []}
-        for (i, j), v in sorted(self.entries.items()):
+        for (i, j), v in sorted(self.terms.items()):
             if v.is_constant():
                 out["entries"].append([i, j, format_rational(v.constant_value())])
             else:
@@ -151,27 +113,26 @@ class PeriodicMatrix:
 
     @classmethod
     def from_json(cls, data):
-        n = int(data["n"])
-        entries = {}
-        for i, j, v in data.get("entries", []):
-            coeff = Laurent.from_json(v) if isinstance(v, list) else Laurent.const(parse_rational(str(v)))
-            entries[(int(i), int(j))] = coeff
-        return cls(n, entries)
+        def coeff(v):
+            if isinstance(v, list):
+                return Laurent.from_json(v)
+            return parse_rational(str(v))
+
+        entries = data.get("entries", [])
+        return cls(data["n"], (((i, j), coeff(v)) for i, j, v in entries))
 
 
 def matrix_mul(g, h):
     """Product in the periodic matrix algebra, via direct row convolution."""
-    assert g.n == h.n
+    g._check_context(h)
     n = g.n
-    entries = {}
-    for (i, j), v in g.entries.items():
-        for (p, q), w in h.entries.items():
-            # E_{i,j} E_{p,q} lands at (i, q + j - p) when j = p mod n.
-            if bar(j, n) != p:
-                continue
-            key = (i, q + j - p)
-            entries[key] = entries.get(key, Laurent.zero()) + v * w
-    return PeriodicMatrix(n, entries)
+    # E_{i,j} E_{p,q} lands at (i, q + j - p) when j = p mod n.
+    return PeriodicMatrix._from_items(g.context, (
+        ((i, q + j - p), v * w)
+        for (i, j), v in g.terms.items()
+        for (p, q), w in h.terms.items()
+        if bar(j, n) == p
+    ))
 
 
 def eta_as(g, s, height_scalar=None):
@@ -183,14 +144,14 @@ def eta_as(g, s, height_scalar=None):
     if height_scalar is None:
         height_scalar = Laurent.gen
     n = g.n
-    entries = {}
-    for (i, j), v in g.entries.items():
-        col = bar(j, n)
-        off = (j - col) // n
-        key = (i, col + n * s * off)
-        term = v * height_scalar(off)
-        entries[key] = entries.get(key, Laurent.zero()) + term
-    return PeriodicMatrix(n, entries)
+
+    def items():
+        for (i, j), v in g.terms.items():
+            col = bar(j, n)
+            off = (j - col) // n
+            yield (i, col + n * s * off), v * height_scalar(off)
+
+    return PeriodicMatrix._from_items(g.context, items())
 
 
 def eta_a(g):
@@ -200,7 +161,8 @@ def eta_a(g):
 
 def eta_as_at(g, s, a0):
     a0 = Fraction(a0)
-    assert a0 != 0
+    if a0 == 0:
+        raise ValueError("the specialization point a0 must be nonzero")
     return eta_as(g, s, height_scalar=lambda off: Laurent.const(a0 ** off))
 
 
@@ -236,7 +198,7 @@ def weyl_conjugate(w, g):
     if w.n != g.n:
         raise ValueError("symmetry is for n=%d, matrix has n=%d" % (w.n, g.n))
     return PeriodicMatrix(
-        g.n, {(w(i), w(j)): v for (i, j), v in g.entries.items()}
+        g.n, {(w(i), w(j)): v for (i, j), v in g.terms.items()}
     )
 
 
@@ -247,16 +209,17 @@ def evaluate(g, r):
     its coordinate pairs; the sum over canonical labels is finite because each
     row has finite support.
     """
-    n = g.n
-    atoms = sorted(g.entries.items())
-    terms = {}
-    for combo in itertools.combinations_with_replacement(atoms, r):
-        pairs = tuple(sorted(k for k, _ in combo))
-        coeff = Laurent.one()
-        for _, v in combo:
-            coeff = coeff * v
-        terms[pairs] = terms.get(pairs, Laurent.zero()) + coeff
-    return AlgebraElement(n, r, terms)
+    context = (g.n, checked_int(r, "r", 0))
+    atoms = sorted(g.terms.items())
+
+    def items():
+        for combo in itertools.combinations_with_replacement(atoms, r):
+            coeff = Laurent.one()
+            for _, v in combo:
+                coeff = coeff * v
+            yield tuple(sorted(k for k, _ in combo)), coeff
+
+    return AlgebraElement._from_items(context, items())
 
 
 # -- nonvanishing witness --------------------------------------------------------
@@ -312,7 +275,7 @@ def _base_matrices(n, special):
         # diagonal rescalings and permutation matrices
         for c in (2, Fraction(1, 2), -1, 3):
             for u in range(1, n + 1):
-                m = dict(eye.entries)
+                m = dict(eye.terms)
                 m[(u, u)] = L.const(c)
                 yield PeriodicMatrix(n, m)
         for sigma in all_perms(n):
@@ -333,10 +296,12 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
     if not poly:
         raise ValueError("the zero combination has no nonvanishing witness")
     degrees = {len(pairs) for pairs, _ in poly}
-    assert len(degrees) == 1, "terms must be homogeneous of one degree"
+    if len(degrees) != 1:
+        raise ValueError("the terms must all have one degree, got %s" % sorted(degrees))
     r = degrees.pop()
     a0 = Fraction(a0)
-    assert a0 != 0
+    if a0 == 0:
+        raise ValueError("the specialization point a0 must be nonzero")
 
     offsets = set()
     for pairs, _ in poly:
@@ -382,8 +347,8 @@ def _scalar_streams(k):
 
 
 def _assemble(base, blocks, n):
-    entries = {}
-    for (i, j), v in base.entries.items():
-        for off, scalar in blocks.items():
-            entries[(i, j + n * off)] = v * Laurent.const(scalar)
-    return PeriodicMatrix(n, entries)
+    return PeriodicMatrix._from_items(base.context, (
+        ((i, j + n * off), v * Laurent.const(scalar))
+        for (i, j), v in base.terms.items()
+        for off, scalar in blocks.items()
+    ))

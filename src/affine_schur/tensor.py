@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from .combination import Combination, checked_int
 from .laurent import Laurent
 from .schur import (
     bilinear,
@@ -28,63 +29,30 @@ from .schur import (
 from .weyl import affine_matchings
 
 
-class TensorVector:
+class TensorVector(Combination):
     """A finite combination of tensor basis vectors v_u, u an integer tuple."""
 
-    __slots__ = ("n", "r", "terms")
+    __slots__ = ()
 
     def __init__(self, n, r, terms=None):
-        clean = {}
-        if terms:
-            for t, c in dict(terms).items():
-                if not isinstance(c, Laurent):
-                    c = Laurent.const(c)
-                if c.is_zero():
-                    continue
-                t = tuple(int(v) for v in t)
-                assert len(t) == r
-                clean[t] = c
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "terms", clean)
+        super().__init__((checked_int(n, "n", 1), checked_int(r, "r", 0)), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    n = property(lambda self: self.context[0])
+    r = property(lambda self: self.context[1])
+
+    def _key(self, t):
+        if not isinstance(t, (list, tuple)):
+            raise ValueError("a tensor index is a tuple of integers, got %r" % (t,))
+        t = tuple(int(v) for v in t)
+        if len(t) != self.r:
+            raise ValueError(
+                "tuple %s has length %d, the vector has r=%d" % (t, len(t), self.r)
+            )
+        return t
 
     @classmethod
     def basis(cls, n, t, coeff=1):
         return cls(n, len(t), {tuple(t): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorVector)
-            and (self.n, self.r) == (other.n, other.r)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.r, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert (self.n, self.r) == (other.n, other.r)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, Laurent.zero()) + c
-        return TensorVector(self.n, self.r, terms)
-
-    def __neg__(self):
-        return TensorVector(self.n, self.r, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not isinstance(coeff, Laurent):
-            coeff = Laurent.const(coeff)
-        return TensorVector(self.n, self.r, {t: coeff * c for t, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -110,11 +78,10 @@ class TensorVector:
 
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for entry in data.get("terms", []):
-            t = tuple(entry["tuple"])
-            terms[t] = terms.get(t, Laurent.zero()) + Laurent.from_json(entry["coeff"])
-        return cls(int(data["n"]), int(data["r"]), terms)
+        return cls(data["n"], data["r"], (
+            (entry["tuple"], Laurent.from_json(entry["coeff"]))
+            for entry in data.get("terms", [])
+        ))
 
 
 def _basis_action_on_tuple(pairs, u, n):
@@ -137,25 +104,26 @@ def _basis_action_on_tuple(pairs, u, n):
 
 def act(x, v):
     """Left action of an algebra element on a tensor vector."""
-    if (x.n, x.r) != (v.n, v.r):
-        raise ValueError("context mismatch")
-    terms = {}
-    for pairs, xc in x.terms.items():
-        for u, vc in v.terms.items():
-            coeff = xc * vc
-            for t, mult in _basis_action_on_tuple(pairs, u, x.n).items():
-                terms[t] = terms.get(t, Laurent.zero()) + coeff * mult
-    return TensorVector(x.n, x.r, terms)
+    if x.context != v.context:
+        raise ValueError("context mismatch: %s vs %s" % (x.context, v.context))
+    n = x.n
+
+    def items():
+        for pairs, xc in x.terms.items():
+            for u, vc in v.terms.items():
+                coeff = xc * vc
+                for t, mult in _basis_action_on_tuple(pairs, u, n).items():
+                    yield t, coeff * mult
+
+    return TensorVector._from_items(v.context, items())
 
 
 def weyl_right_act(v, w, n=None):
     """Right relabelling action v_u -> v_{u.w}."""
     n = v.n if n is None else n
-    terms = {}
-    for u, c in v.terms.items():
-        t = w.apply(u, n)
-        terms[t] = terms.get(t, Laurent.zero()) + c
-    return TensorVector(v.n, v.r, terms)
+    return TensorVector._from_items(
+        v.context, ((w.apply(u, n), c) for u, c in v.terms.items())
+    )
 
 
 class ReconstructionError(RuntimeError):

@@ -14,75 +14,44 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .combination import Combination, accumulate
 from .weyl import AffineWeylElement, affine_matchings, apply_perm, invert_perm
 
 
-class OperatorSum:
+class OperatorSum(Combination):
     """A finite sum of elementary operators x_{ij} with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                c = Fraction(c)
-                if c:
-                    clean[(i, j)] = c
-        object.__setattr__(self, "terms", clean)
+        super().__init__((), terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    _coeff = staticmethod(Fraction)
+
+    def _key(self, key):
+        i, j = key
+        return (i, j)
 
     @classmethod
     def unit(cls, i, j, coeff=1):
         return cls({(i, j): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, OperatorSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return OperatorSum(terms)
-
-    def __neg__(self):
-        return OperatorSum({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return OperatorSum({k: Fraction(c) * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """Operator composition: x_{ij} x_{kl} = [j == k] x_{il}."""
         by_row = {}
         for (k, l), c in other.terms.items():
             by_row.setdefault(k, []).append((l, c))
-        terms = {}
-        for (i, j), c1 in self.terms.items():
-            for l, c2 in by_row.get(j, []):
-                key = (i, l)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return OperatorSum(terms)
+        return OperatorSum._from_items((), (
+            ((i, l), c1 * c2)
+            for (i, j), c1 in self.terms.items()
+            for l, c2 in by_row.get(j, [])
+        ))
 
     def translate(self, g, action):
         """The translate a^g relabelling both indices by the action."""
-        return OperatorSum(
-            {(action(i, g), action(j, g)): c for (i, j), c in self.terms.items()}
-        )
+        return OperatorSum._from_items((), (
+            ((action(i, g), action(j, g)), c) for (i, j), c in self.terms.items()
+        ))
 
     def __str__(self):
         if not self.terms:
@@ -228,28 +197,29 @@ def affine_transfer_window(a, h1, n, window):
     window = [tuple(t) for t in window]
     if not is_invariant(a, h1, make_affine_action(n)):
         raise ValueError("operator is not invariant under H1")
-    terms = {}
     wset = set(window)
-    for q in window:
-        for (p, c) in affine_transfer_column(a, h1, n, q):
-            if p in wset:
-                terms[(p, q)] = terms.get((p, q), Fraction(0)) + c
-    return OperatorSum(terms)
+    return OperatorSum._from_items((), (
+        ((p, q), c)
+        for q in window
+        for p, c in affine_transfer_column(a, h1, n, q)
+        if p in wset
+    ))
 
 
 def affine_transfer_column(a, h1, n, q):
     """All entries of T_{H1, whole group}(a) in the column of input index q."""
-    out = {}
-    for (i, j), coeff in a.terms.items():
-        covered = set()
-        for w in affine_matchings(j, q, n):
-            if w in covered:
-                continue
-            for h in h1:
-                covered.add(h.compose(w))
-            p = w.apply(i, n)
-            out[p] = out.get(p, Fraction(0)) + coeff
-    return [(p, c) for p, c in out.items() if c]
+
+    def items():
+        for (i, j), coeff in a.terms.items():
+            covered = set()
+            for w in affine_matchings(j, q, n):
+                if w in covered:
+                    continue
+                for h in h1:
+                    covered.add(h.compose(w))
+                yield w.apply(i, n), coeff
+
+    return list(accumulate(items()).items())
 
 
 def affine_product_window(a, h1, b, h2, n, window):
@@ -261,15 +231,13 @@ def affine_product_window(a, h1, b, h2, n, window):
     """
     window = [tuple(t) for t in window]
     wset = set(window)
-    terms = {}
-    for s in window:
-        col_b = affine_transfer_column(b, h2, n, s)
-        for q, cb in col_b:
-            for p, ca in affine_transfer_column(a, h1, n, q):
-                if p in wset:
-                    key = (p, s)
-                    terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return OperatorSum(terms)
+    return OperatorSum._from_items((), (
+        ((p, s), ca * cb)
+        for s in window
+        for q, cb in affine_transfer_column(b, h2, n, s)
+        for p, ca in affine_transfer_column(a, h1, n, q)
+        if p in wset
+    ))
 
 
 def affine_mackey_window(a, h1, b, h2, n, window):

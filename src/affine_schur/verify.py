@@ -223,21 +223,29 @@ _PACK = 10 ** 6
 def _psi_two_var(x, s_outer, s_inner):
     """Composite with two formal parameters, packed into one exponent lattice.
 
-    Monomials a^p a'^q with |q| small are encoded as single exponents
-    PACK*p + q; heights at desk scale stay far below the packing radix, so
-    the encoding is a faithful ring embedding on the support that occurs.
+    Monomials a^p a'^q with |q| < PACK/2 are encoded as single exponents
+    PACK*p + q, a faithful ring embedding on that support; ``_packed`` raises
+    ``ValueError`` for a height outside it rather than alias.
     """
-    inner = psi_as(x, s_inner, height_scalar=lambda h: Laurent.gen(h))
-    return psi_as(inner, s_outer, height_scalar=lambda h: Laurent.gen(_PACK * h))
+    inner = psi_as(x, s_inner, height_scalar=lambda h: _packed(0, h))
+    return psi_as(inner, s_outer, height_scalar=lambda h: _packed(h, 0))
 
 
 def _psi_substituted(x, s_outer, s_inner):
     """Right side of the composition law with parameter a' a^{s_inner}."""
     return psi_as(
-        x,
-        s_outer * s_inner,
-        height_scalar=lambda h: Laurent.gen(_PACK * s_inner * h + h),
+        x, s_outer * s_inner, height_scalar=lambda h: _packed(s_inner * h, h)
     )
+
+
+def _packed(p, q):
+    """The monomial a^p a'^q as the single exponent PACK*p + q."""
+    if abs(q) >= _PACK // 2:
+        raise ValueError(
+            "height %d reaches the packing bound %d of the two-variable check"
+            % (q, _PACK // 2)
+        )
+    return Laurent.gen(_PACK * p + q)
 
 
 def suite_hom_laws(n=2, r=2, window=1, seed=20240603, samples=40, **_):
@@ -384,7 +392,7 @@ def suite_semigroup_laws(n=2, count=50, seed=20240604, **_):
                 n,
                 {
                     k: v.substitute_inverse()
-                    for k, v in eta_as(m.transpose(), s).entries.items()
+                    for k, v in eta_as(m.transpose(), s).terms.items()
                 },
             )
             if lhs != rhs:

@@ -1,0 +1,93 @@
+from fractions import Fraction
+
+import pytest
+
+from affine_schur.combination import accumulate
+from affine_schur.laurent import Laurent
+from affine_schur.schur import AlgebraElement
+from affine_schur.semigroup import PeriodicMatrix
+from affine_schur.tensor import TensorVector
+from affine_schur.transfer import OperatorSum
+
+
+def test_accumulate_adds_equal_keys_and_drops_zero_sums():
+    items = [("b", 1), ("a", 2), ("b", -1), ("c", Fraction(1, 2)), ("a", 1)]
+    got = accumulate(items)
+    assert got == {"a": 3, "c": Fraction(1, 2)}
+    assert list(got) == ["a", "c"]
+
+
+def test_trusted_constructor_accumulates_without_checks():
+    x = AlgebraElement._from_items(
+        (1, 1), [(((1, 2),), Laurent.one()), (((1, 2),), Laurent.gen(0, -1))]
+    )
+    assert x.is_zero() and x == AlgebraElement.zero(1, 1)
+
+
+def test_add_across_contexts_raises():
+    with pytest.raises(ValueError):
+        TensorVector.basis(1, (1, 2)) + TensorVector.basis(2, (1, 2))
+    with pytest.raises(ValueError):
+        TensorVector.basis(1, (1, 2)) + TensorVector.basis(1, (1, 2, 3))
+    with pytest.raises(ValueError):
+        PeriodicMatrix.identity(1) + PeriodicMatrix.identity(2)
+    with pytest.raises(ValueError):
+        PeriodicMatrix.identity(1) * PeriodicMatrix.identity(2)
+    with pytest.raises(TypeError):
+        PeriodicMatrix.identity(1) + TensorVector.basis(1, (1,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AlgebraElement(1, 3, {((1, 1), (1, 2)): 1}),  # length is not r
+        lambda: AlgebraElement(2, 1, {((3, 1),): 1}),  # top outside 1..n
+        lambda: AlgebraElement(2, 2, {((2, 1), (1, 1)): 1}),  # not sorted
+        lambda: AlgebraElement(0, 1),
+        lambda: AlgebraElement(1, -1),
+        lambda: AlgebraElement.from_json(
+            {"n": 1, "r": 3, "terms": [{"coeff": [[0, "1"]], "pairs": [[1, 1], [1, 2]]}]}
+        ),
+        lambda: AlgebraElement.from_json(
+            {"n": 1, "r": 1, "terms": [{"coeff": [[0, "1"]], "pairs": [1, 2]}]}
+        ),
+        lambda: TensorVector(1, 3, {(1, 2): 1}),
+        lambda: TensorVector.from_json(
+            {"n": 1, "r": 2, "terms": [{"coeff": [[0, "1"]], "tuple": 7}]}
+        ),
+        lambda: PeriodicMatrix(0, {(1, 1): 1}),
+        lambda: PeriodicMatrix(1, {(1, 1, 1): 1}),
+        lambda: OperatorSum({(1, 2, 3): 1}),
+    ],
+)
+def test_public_constructors_reject_malformed_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_public_constructors_normalize_and_add():
+    # (3, 3) is (1, 1) shifted by the period
+    assert PeriodicMatrix(2, {(1, 1): 1, (3, 3): 2}) == PeriodicMatrix(2, {(1, 1): 3})
+    assert OperatorSum([((1, 2), 1), ((1, 2), Fraction(1, 2))]) == OperatorSum.unit(
+        1, 2, Fraction(3, 2)
+    )
+    x = AlgebraElement.from_json(
+        {
+            "n": 1,
+            "r": 1,
+            "terms": [
+                {"coeff": [[0, "1"]], "pairs": [[2, 3]]},
+                {"coeff": [[0, "-1"]], "pairs": [[1, 2]]},
+            ],
+        }
+    )
+    assert x.is_zero()
+
+
+def test_values_are_immutable_and_hashable():
+    x = TensorVector.basis(1, (1, 2), 3)
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    assert hash(x) == hash(TensorVector.basis(1, (1, 2), Laurent.const(3)))
+    assert x - x == TensorVector.zero(1, 2)
+    assert x.scale(0).is_zero()

@@ -258,12 +258,34 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
         ["weyl", "xi[(1,2)|(1,2)]", "-n", "2", "--window", "(1,1)"],
         ["weyl", "xi[(1,2)|(1,2)]", "-n", "2", "--si", "5"],
         ["lie", "pi", "--s", "5", "--t", "1", "--n", "2", "--r", "1"],
+        ["lie", "pi", "--s", "1", "--t", "2", "--n", "1", "--r", "0"],
+        # (argv, standard input): an r = 3 element whose label has two pairs
+        (
+            ["weyl", "-", "--rho", "--text"],
+            '{"n":1,"r":3,"terms":[{"coeff":[[0,"1"]],"pairs":[[1,1],[1,2]]}]}',
+        ),
+        # a tensor tuple shorter than r
+        (
+            ["act", "xi[(1,1,1)|(1,1,2)]", "-", "-n", "1"],
+            '{"n":1,"r":3,"terms":[{"coeff":[[0,"1"]],"tuple":[1,2]}]}',
+        ),
+        # witness terms of two degrees
+        (
+            ["witness", "--poly", "-", "--n", "1"],
+            '[{"pairs":[[1,3]],"coeff":"1"},{"pairs":[[1,1],[1,2]],"coeff":"1"}]',
+        ),
+        (
+            ["witness", "--poly", "-", "--n", "1", "--special", "--a0", "0"],
+            '[{"pairs":[[1,3]],"coeff":"1"}]',
+        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):
     # -O strips assert statements, so input checks must not be asserts
+    argv, stdin = argv if isinstance(argv, tuple) else (argv, "")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "affine_schur.cli", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
     )

@@ -156,3 +156,14 @@ def test_apply_hom_dispatch():
         apply_hom("psi_as", x)
     with pytest.raises(ValueError):
         apply_hom("nope", x)
+
+
+def test_two_variable_check_rejects_heights_at_the_packing_bound():
+    from affine_schur.verify import _PACK, _psi_substituted, _psi_two_var
+
+    below = AlgebraElement(2, 1, {((1, 1 + 2 * (_PACK // 2 - 1)),): 1})
+    assert _psi_two_var(below, 1, 1) == _psi_substituted(below, 1, 1)
+    at = AlgebraElement(2, 1, {((1, 1 + 2 * (_PACK // 2)),): 1})
+    for check in (_psi_two_var, _psi_substituted):
+        with pytest.raises(ValueError):
+            check(at, 1, 1)

@@ -85,7 +85,7 @@ def test_eta_transpose_law():
             lhs = eta_as(m, s).transpose()
             rhs = PeriodicMatrix(
                 2,
-                {k: v.substitute_inverse() for k, v in eta_as(m.transpose(), s).entries.items()},
+                {k: v.substitute_inverse() for k, v in eta_as(m.transpose(), s).terms.items()},
             )
             assert lhs == rhs
 
