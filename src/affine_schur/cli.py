@@ -191,14 +191,14 @@ def cmd_decompose(args):
         tree = decompose_x(pairs, args.n)
     if args.window is not None:
         worst = max(
-            (schur.max_offset(atom, args.n) for atom in tree.atoms()), default=0
+            (schur.max_offset(p, args.n) for p in expr_mod.atoms(tree)), default=0
         )
         if worst > args.window:
             raise UserError(
                 "decomposition uses generator offsets up to %d, over the window %d"
                 % (worst, args.window)
             )
-    json.dump(tree.to_json(), sys.stdout)
+    json.dump(expr_mod.to_json(tree), sys.stdout)
     sys.stdout.write("\n")
     return 0
 

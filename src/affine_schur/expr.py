@@ -12,14 +12,19 @@ Grammar:
 
 Parsing reports syntax errors with a column; evaluation requires all atoms to
 share one length and is carried out over a caller-supplied period n.
+
+The same ``Node`` trees also hold the decompositions built by ``looplie``:
+``atom`` and ``scaled`` build them, ``atoms`` and ``map_atoms`` walk them, and
+``to_json`` writes them in the ``{"op": ...}`` format of ``decompose``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .laurent import Laurent
-from .schur import AlgebraElement, canonicalize, format_index, multiply
+from .laurent import Laurent, format_rational
+from .schur import AlgebraElement, format_index, index_bottoms, index_tops, multiply
 
 
 class ParseError(ValueError):
@@ -29,7 +34,7 @@ class ParseError(ValueError):
 
 
 class Node:
-    """Parse-tree node; kind is one of atom, scalar, sum, product, neg."""
+    """Expression-tree node; kind is one of atom, scalar, sum, product, neg."""
 
     __slots__ = ("kind", "value", "children", "column")
 
@@ -43,6 +48,61 @@ class Node:
         if self.kind in ("atom", "scalar"):
             return "Node(%s, %r)" % (self.kind, self.value)
         return "Node(%s, %s)" % (self.kind, self.children)
+
+
+def atom(pairs):
+    """The atom node of a label given as (top, bottom) pairs."""
+    return Node("atom", (index_tops(pairs), index_bottoms(pairs)))
+
+
+def scaled(coeff, node):
+    """The product of a rational scalar and a tree."""
+    return Node("product", children=[Node("scalar", Laurent.const(coeff)), node])
+
+
+def atoms(node):
+    """The (top, bottom) pairs of every atom of a tree, in order."""
+    if node.kind == "atom":
+        yield tuple(zip(*node.value))
+    else:
+        for c in node.children:
+            yield from atoms(c)
+
+
+def map_atoms(node, fn):
+    """The tree with each atom replaced by ``fn`` of its (top, bottom) pairs."""
+    if node.kind == "atom":
+        return fn(tuple(zip(*node.value)))
+    if node.kind == "scalar":
+        return node
+    return Node(
+        node.kind,
+        children=[map_atoms(c, fn) for c in node.children],
+        column=node.column,
+    )
+
+
+def to_json(node):
+    """A sum/product tree of atoms in the ``{"op": ...}`` JSON format.
+
+    A two-factor product whose first factor is a scalar is ``scale``, any
+    other product is ``mul`` and a sum is ``add``.
+    """
+    kind, children = node.kind, node.children
+    if kind == "atom":
+        return {"op": "atom", "pairs": [list(p) for p in zip(*node.value)]}
+    if kind == "product" and len(children) == 2 and children[0].kind == "scalar":
+        return {
+            "op": "scale",
+            "coeff": format_rational(children[0].value.constant_value()),
+            "child": to_json(children[1]),
+        }
+    if kind in ("sum", "product"):
+        return {
+            "op": "add" if kind == "sum" else "mul",
+            "children": [to_json(c) for c in children],
+        }
+    raise ValueError("a %s node has no JSON form" % kind)
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -201,35 +261,9 @@ def parse(text, symbol="a"):
 def parse_scalar(text, symbol="a"):
     """Parse a pure Laurent scalar expression."""
     node = parse(text, symbol)
-    value = _eval_scalar(node)
-    if value is None:
+    if atom_length(node) is not None:
         raise ParseError("expected a scalar expression", node.column)
-    return value
-
-
-def _eval_scalar(node):
-    if node.kind == "scalar":
-        return node.value
-    if node.kind == "neg":
-        inner = _eval_scalar(node.children[0])
-        return None if inner is None else -inner
-    if node.kind == "sum":
-        total = Laurent.zero()
-        for c in node.children:
-            v = _eval_scalar(c)
-            if v is None:
-                return None
-            total = total + v
-        return total
-    if node.kind == "product":
-        total = Laurent.one()
-        for c in node.children:
-            v = _eval_scalar(c)
-            if v is None:
-                return None
-            total = total * v
-        return total
-    return None
+    return _eval_element(node, None, multiply)
 
 
 def atom_length(node):
@@ -249,48 +283,41 @@ def atom_length(node):
 
 def evaluate(node, n, product=multiply):
     """Evaluate to an AlgebraElement (or a Laurent scalar if no atoms occur)."""
-    r = atom_length(node)
-    if r is None:
-        return _eval_scalar(node)
-    return _eval_element(node, n, r, product)
+    atom_length(node)  # atoms of mixed lengths raise ParseError here
+    return _eval_element(node, n, product)
 
 
-def _eval_element(node, n, r, product):
+# Decomposition trees repeat their atoms many times over.
+_basis_element = lru_cache(maxsize=None)(AlgebraElement.basis)
+
+
+def _eval_element(node, n, product):
     if node.kind == "atom":
         top, bottom = node.value
-        return AlgebraElement(n, r, {canonicalize(top, bottom, n): 1})
+        return _basis_element(n, top, bottom)
     if node.kind == "scalar":
         return node.value
     if node.kind == "neg":
-        return -_eval_element(node.children[0], n, r, product)
+        return -_eval_element(node.children[0], n, product)
     if node.kind == "sum":
-        parts = [_eval_element(c, n, r, product) for c in node.children]
-        if all(isinstance(p, Laurent) for p in parts):
-            total = Laurent.zero()
-            for p in parts:
-                total = total + p
-            return total
-        if any(isinstance(p, Laurent) for p in parts):
+        parts = [_eval_element(c, n, product) for c in node.children]
+        if len({isinstance(p, Laurent) for p in parts}) > 1:
             raise ParseError("cannot add a bare scalar to basis elements", node.column)
-        total = AlgebraElement.zero(n, r)
-        for p in parts:
+        total = parts[0]
+        for p in parts[1:]:
             total = total + p
         return total
     if node.kind == "product":
-        parts = [_eval_element(c, n, r, product) for c in node.children]
-        scalars = [p for p in parts if isinstance(p, Laurent)]
-        elements = [p for p in parts if isinstance(p, AlgebraElement)]
-        if not elements:
-            out = Laurent.one()
-            for s in scalars:
-                out = out * s
-            return out
-        out = elements[0]
-        for e in elements[1:]:
-            out = product(out, e)
-        for s in scalars:
-            out = out.scale(s)
-        return out
+        scalar = element = None
+        for c in node.children:
+            value = _eval_element(c, n, product)
+            if isinstance(value, Laurent):
+                scalar = value if scalar is None else scalar * value
+            else:
+                element = value if element is None else product(element, value)
+        if element is None:
+            return scalar
+        return element if scalar is None else element.scale(scalar)
     raise AssertionError("unknown node kind %r" % node.kind)
 
 

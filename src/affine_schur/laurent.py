@@ -71,7 +71,8 @@ class Laurent:
         return set(self.terms) <= {0}
 
     def constant_value(self):
-        assert self.is_constant(), "not a constant: %s" % self
+        if not self.is_constant():
+            raise ValueError("not a constant: %s" % self)
         return self.terms.get(0, Fraction(0))
 
     def __bool__(self):
@@ -121,7 +122,8 @@ class Laurent:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be an integer >= 0, got %r" % (k,))
         out = Laurent.one()
         base = self
         while k:

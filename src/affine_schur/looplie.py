@@ -9,6 +9,11 @@ induction on the number of moved coordinates: split at a moved position,
 multiply the two lower-index factors, and solve for the target using the
 nonzero leading coefficient.  Every decomposition is re-multiplied and checked
 before being returned.
+
+A decomposition is an ``expr.Node`` tree, the tree of the command-line
+expression language: sums and products of basis atoms and rational scalars.
+``expr.evaluate`` re-multiplies it and ``expr.to_json`` writes it for
+``decompose``.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combination import accumulate
-from .laurent import Laurent, format_rational, parse_rational
+from .expr import Node, _eval_element, atom, map_atoms, scaled
+from .laurent import Laurent
 from .schur import (
     AlgebraElement,
     canonicalize,
-    identity,
     index_bottoms,
     index_tops,
     multiply,
@@ -92,7 +97,8 @@ def pi_tilde_matrix(m, r):
 
 def lie_bracket_check(g1, g2, r):
     """Whether the bracket of two generators maps to the commutator of images."""
-    assert g1.n == g2.n
+    if g1.n != g2.n:
+        raise ValueError("generators of different periods %d and %d" % (g1.n, g2.n))
     m1, m2 = g1.matrix(), g2.matrix()
     bracket = matrix_mul(m1, m2) - matrix_mul(m2, m1)
     lhs = pi_tilde_matrix(bracket, r)
@@ -126,140 +132,6 @@ def generator_set(kind, n, r, window=1):
     return [AlgebraElement(n, r, {pairs: 1}) for pairs in sorted(labels)]
 
 
-# -- expression trees ------------------------------------------------------------
-
-class Expr:
-    """A polynomial expression over basis-element leaves with rational scalars."""
-
-    def evaluate(self, n, r):
-        raise NotImplementedError
-
-    def to_json(self):
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json(data):
-        op = data["op"]
-        if op == "atom":
-            return Atom(tuple(tuple(p) for p in data["pairs"]))
-        if op == "one":
-            return One()
-        if op == "scale":
-            return Scale(parse_rational(data["coeff"]), Expr.from_json(data["child"]))
-        if op == "add":
-            return Add([Expr.from_json(c) for c in data["children"]])
-        if op == "mul":
-            return Mul([Expr.from_json(c) for c in data["children"]])
-        raise ValueError("unknown expression op %r" % op)
-
-    def atoms(self):
-        raise NotImplementedError
-
-    def map_atoms(self, fn):
-        raise NotImplementedError
-
-
-class Atom(Expr):
-    def __init__(self, pairs):
-        self.pairs = tuple(tuple(p) for p in pairs)
-
-    def evaluate(self, n, r):
-        return AlgebraElement(n, r, {self.pairs: 1})
-
-    def to_json(self):
-        return {"op": "atom", "pairs": [list(p) for p in self.pairs]}
-
-    def atoms(self):
-        return {self.pairs}
-
-    def map_atoms(self, fn):
-        return Atom(fn(self.pairs))
-
-
-class One(Expr):
-    def evaluate(self, n, r):
-        return identity(n, r)
-
-    def to_json(self):
-        return {"op": "one"}
-
-    def atoms(self):
-        return set()
-
-    def map_atoms(self, fn):
-        return One()
-
-
-class Scale(Expr):
-    def __init__(self, coeff, child):
-        self.coeff = Fraction(coeff)
-        self.child = child
-
-    def evaluate(self, n, r):
-        return self.child.evaluate(n, r).scale(self.coeff)
-
-    def to_json(self):
-        return {
-            "op": "scale",
-            "coeff": format_rational(self.coeff),
-            "child": self.child.to_json(),
-        }
-
-    def atoms(self):
-        return self.child.atoms()
-
-    def map_atoms(self, fn):
-        return Scale(self.coeff, self.child.map_atoms(fn))
-
-
-class Add(Expr):
-    def __init__(self, children):
-        self.children = list(children)
-        assert self.children
-
-    def evaluate(self, n, r):
-        out = self.children[0].evaluate(n, r)
-        for c in self.children[1:]:
-            out = out + c.evaluate(n, r)
-        return out
-
-    def to_json(self):
-        return {"op": "add", "children": [c.to_json() for c in self.children]}
-
-    def atoms(self):
-        out = set()
-        for c in self.children:
-            out |= c.atoms()
-        return out
-
-    def map_atoms(self, fn):
-        return Add([c.map_atoms(fn) for c in self.children])
-
-
-class Mul(Expr):
-    def __init__(self, children):
-        self.children = list(children)
-        assert self.children
-
-    def evaluate(self, n, r):
-        out = self.children[0].evaluate(n, r)
-        for c in self.children[1:]:
-            out = multiply(out, c.evaluate(n, r))
-        return out
-
-    def to_json(self):
-        return {"op": "mul", "children": [c.to_json() for c in self.children]}
-
-    def atoms(self):
-        out = set()
-        for c in self.children:
-            out |= c.atoms()
-        return out
-
-    def map_atoms(self, fn):
-        return Mul([c.map_atoms(fn) for c in self.children])
-
-
 # -- decomposition over Y ----------------------------------------------------------
 
 def label_index(pairs):
@@ -274,15 +146,18 @@ class DecompositionError(RuntimeError):
 def decompose_y(pairs, n, _verify=True):
     """Express a basis element as a polynomial in index-at-most-one elements.
 
-    Returns an expression tree whose leaves all have index <= 1; evaluation is
-    checked against the input before returning.
+    Returns an ``expr.Node`` tree whose atoms all have index <= 1; evaluation
+    is checked against the input before returning.
     """
     pairs = tuple(tuple(p) for p in pairs)
     expr = _decompose_y(pairs, n)
-    if _verify:
-        got = expr.evaluate(n, len(pairs))
-        if got != AlgebraElement(n, len(pairs), {pairs: 1}):
-            raise DecompositionError("re-multiplication mismatch for %s" % (pairs,))
+    return _remultiplied(expr, pairs, n) if _verify else expr
+
+
+def _remultiplied(expr, pairs, n):
+    """The tree ``expr``, after checking that it multiplies out to xi_pairs."""
+    if _eval_element(expr, n, multiply) != AlgebraElement(n, len(pairs), {pairs: 1}):
+        raise DecompositionError("re-multiplication mismatch for %s" % (pairs,))
     return expr
 
 
@@ -290,7 +165,7 @@ def decompose_y(pairs, n, _verify=True):
 def _decompose_y(pairs, n):
     m = label_index(pairs)
     if m <= 1:
-        return Atom(pairs)
+        return atom(pairs)
 
     # Put one moved coordinate first and replace its bottom by its top.
     order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0] == pairs[k][1], k))
@@ -312,7 +187,7 @@ def _decompose_y(pairs, n):
             % (pairs, left, right)
         )
 
-    children = [Mul([_decompose_y(left, n), Atom(right)])]
+    children = [Node("product", children=[_decompose_y(left, n), atom(right)])]
     for other, coeff in product.items():
         if other == pairs:
             continue
@@ -320,9 +195,9 @@ def _decompose_y(pairs, n):
             raise DecompositionError(
                 "index did not drop: %s appears in the split of %s" % (other, pairs)
             )
-        children.append(Scale(-coeff, _decompose_y(other, n)))
+        children.append(scaled(-coeff, _decompose_y(other, n)))
 
-    return Scale(Fraction(1, lead), Add(children))
+    return scaled(Fraction(1, lead), Node("sum", children=children))
 
 
 # -- decomposition over X (r < n) --------------------------------------------------
@@ -333,24 +208,10 @@ def decompose_x(pairs, n, _verify=True):
     r = len(pairs)
     if r >= n:
         raise ValueError("the X generating set requires r < n")
-    expr = _splice_x(decompose_y(pairs, n, _verify=False), n, r)
-    if _verify:
-        got = expr.evaluate(n, r)
-        if got != AlgebraElement(n, r, {pairs: 1}):
-            raise DecompositionError("re-multiplication mismatch for %s" % (pairs,))
-    return expr
-
-
-def _splice_x(expr, n, r):
-    if isinstance(expr, Atom):
-        return _y_atom_over_x(expr.pairs, n, r)
-    if isinstance(expr, Scale):
-        return Scale(expr.coeff, _splice_x(expr.child, n, r))
-    if isinstance(expr, Add):
-        return Add([_splice_x(c, n, r) for c in expr.children])
-    if isinstance(expr, Mul):
-        return Mul([_splice_x(c, n, r) for c in expr.children])
-    return expr
+    expr = map_atoms(
+        decompose_y(pairs, n, _verify=False), lambda p: _y_atom_over_x(p, n, r)
+    )
+    return _remultiplied(expr, pairs, n) if _verify else expr
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +230,7 @@ def _y_atom_over_x(pairs, n, r):
             else:
                 rotated = _shift_label(pairs, shift, n)
                 finite = _finite_over_x(rotated, n, r)
-                expr = finite.map_atoms(lambda p: _shift_label(p, -shift, n))
+                expr = map_atoms(finite, lambda p: atom(_shift_label(p, -shift, n)))
         else:
             # Insert a middle column in a fresh residue class strictly between
             # the row and the column; the two factors multiply back exactly.
@@ -391,7 +252,10 @@ def _y_atom_over_x(pairs, n, r):
                 raise DecompositionError(
                     "middle insertion failed for %s via %d" % (pairs, middle)
                 )
-            expr = Mul([_y_atom_over_x(left, n, r), _y_atom_over_x(right, n, r)])
+            expr = Node(
+                "product",
+                children=[_y_atom_over_x(left, n, r), _y_atom_over_x(right, n, r)],
+            )
     return expr
 
 
@@ -427,14 +291,14 @@ def _finite_over_x(pairs, n, r):
                 vec[k] = new
             else:
                 vec.pop(k, None)
-        expr_parts.append(Scale(factor, row_expr))
+        expr_parts.append((factor, row_expr))
     if vec:
         raise DecompositionError(
             "finite closure does not reach %s (is r < n?)" % (pairs,)
         )
-    if len(expr_parts) == 1 and expr_parts[0].coeff == 1:
-        return expr_parts[0].child
-    return Add(expr_parts) if expr_parts else Scale(0, One())
+    if len(expr_parts) == 1 and expr_parts[0][0] == 1:
+        return expr_parts[0][1]
+    return Node("sum", children=[scaled(c, e) for c, e in expr_parts])
 
 
 @lru_cache(maxsize=None)
@@ -464,17 +328,17 @@ def _finite_closure(n, r):
                     vec[k] = new
                 else:
                     vec.pop(k, None)
-            parts.append(Scale(-factor, row_expr))
+            parts.append(scaled(-factor, row_expr))
         if not vec:
             return None
-        reduced_expr = parts[0] if len(parts) == 1 else Add(parts)
+        reduced_expr = parts[0] if len(parts) == 1 else Node("sum", children=parts)
         pivot = sorted(vec)[0]
         rows.append((pivot, vec, reduced_expr))
         return vec, reduced_expr
 
     frontier = []
     for g in gens:
-        stored = insert({g: Fraction(1)}, Atom(g))
+        stored = insert({g: Fraction(1)}, atom(g))
         if stored:
             frontier.append(stored)
 
@@ -489,7 +353,7 @@ def _finite_closure(n, r):
                 )
                 if not prod:
                     continue
-                stored = insert(prod, Mul([expr, Atom(g)]))
+                stored = insert(prod, Node("product", children=[expr, atom(g)]))
                 if stored:
                     new_frontier.append(stored)
         frontier = new_frontier

@@ -164,16 +164,6 @@ def canonical_partition(blocks):
     return blocks
 
 
-def trivial_partition(r):
-    """All singletons: the trivial subgroup."""
-    return tuple((k,) for k in range(1, r + 1))
-
-
-def full_partition(r):
-    """One block: the whole symmetric group."""
-    return ((tuple(range(1, r + 1)),)) if r else ()
-
-
 def stabilizer(t, n):
     """Stabilizer partition of a tuple with entries in {1..n}.
 

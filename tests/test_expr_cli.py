@@ -146,6 +146,81 @@ def test_cli_decompose_and_witness(tmp_path):
     assert membership(PeriodicMatrix.from_json(data), "SL-at", 2)
 
 
+# Exact `decompose` output, byte for byte: its JSON trees are an interface.
+_PINNED_DECOMPOSITIONS = [
+    (
+        ("[(1,1)|(2,2)]", "2", "Y"),
+        '{"op": "scale", "coeff": "1/2", "child": '
+        '{"op": "add", "children": [{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [1, 2]]}, '
+        '{"op": "atom", "pairs": [[1, 2], [2, 2]]}]}]}}\n',
+    ),
+    (
+        ("[(1,2)|(1,2)]", "3", "X"),
+        '{"op": "add", "children": [{"op": "scale", "coeff": "1", "child": '
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 1]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 2]]}]}}, '
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 3]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [3, 2]]}]}, '
+        '{"op": "scale", "coeff": "-1", "child": '
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 1]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 2]]}]}}]}}]}\n',
+    ),
+    (
+        ("[(1)|(5)]", "3", "X"),
+        '{"op": "mul", "children": [{"op": "atom", "pairs": [[1, 2]]}, '
+        '{"op": "mul", "children": [{"op": "atom", "pairs": [[2, 3]]}, '
+        '{"op": "mul", "children": [{"op": "atom", "pairs": [[3, 4]]}, '
+        '{"op": "atom", "pairs": [[1, 2]]}]}]}]}\n',
+    ),
+    (
+        ("[(1)|(2)]", "3", "X"),
+        '{"op": "atom", "pairs": [[1, 2]]}\n',
+    ),
+    (
+        ("[(1,1)|(0,4)]", "1", "Y"),
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [1, 4]]}, '
+        '{"op": "atom", "pairs": [[1, 0], [1, 1]]}]}, '
+        '{"op": "scale", "coeff": "-1", "child": '
+        '{"op": "atom", "pairs": [[1, 1], [1, 3]]}}]}}\n',
+    ),
+    (
+        ("[(1,2,3)|(2,3,1)]", "3", "Y"),
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": [{"op": "scale", "coeff": "1", "child": '
+        '{"op": "add", "children": [{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [3, 1]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [2, 3]]}]}]}}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 2], [3, 3]]}]}, '
+        '{"op": "scale", "coeff": "-1", "child": '
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [3, 2]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [2, 3]]}]}, '
+        '{"op": "scale", "coeff": "-1", "child": '
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [3, 3]]}}]}}}]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    _PINNED_DECOMPOSITIONS,
+    ids=["%s-n%s-%s" % args for args, _ in _PINNED_DECOMPOSITIONS],
+)
+def test_cli_decompose_output_is_pinned(args, want):
+    index, n, using = args
+    code, out = run_cli(["decompose", "--index", index, "--n", n, "--using", using])
+    assert code == 0
+    assert out == want
+
+
 def test_cli_errors_exit_one():
     code, _ = run_cli(["multiply", "-n", "2", "xi[(1,1)|(1,2)"])
     assert code == 1
@@ -292,6 +367,41 @@ def test_invalid_input_exits_one_under_optimize(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+_LIBRARY_CHECKS = """
+from affine_schur.laurent import Laurent
+from affine_schur.looplie import LoopGenerator, lie_bracket_check
+
+for call in (
+    lambda: Laurent.gen(1).constant_value(),
+    lambda: Laurent.gen(1) ** -1,
+    lambda: lie_bracket_check(LoopGenerator(1, 1, 2), LoopGenerator(2, 1, 2), 1),
+):
+    try:
+        call()
+    except ValueError as ex:
+        print("ValueError:", ex)
+    else:
+        print("returned")
+"""
+
+
+def test_library_checks_raise_under_optimize():
+    # -O strips assert statements; without a raise, a negative power of a
+    # never returns
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ValueError: not a constant: a",
+        "ValueError: exponent must be an integer >= 0, got -1",
+        "ValueError: generators of different periods 1 and 2",
+    ]
 
 
 def test_cli_period_below_one_exits_one(capsys):

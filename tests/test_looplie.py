@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from affine_schur import expr
+from affine_schur.dual import multiply_schur_oracle
 from affine_schur.schur import AlgebraElement, basis_indices
 from affine_schur.homs import det_tilde_sharp, psi_a
 from affine_schur.looplie import (
-    Atom,
-    Expr,
     LoopGenerator,
     decompose_x,
     decompose_y,
@@ -90,31 +91,31 @@ def test_label_index():
 
 
 def test_decompose_index_at_most_one_is_atomic():
-    expr = decompose_y(((1, 1), (1, 4)), 2)
-    assert isinstance(expr, Atom)
-    expr = decompose_y(((1, 1), (2, 2)), 2)
-    assert isinstance(expr, Atom)
+    tree = decompose_y(((1, 1), (1, 4)), 2)
+    assert tree.kind == "atom"
+    tree = decompose_y(((1, 1), (2, 2)), 2)
+    assert tree.kind == "atom"
 
 
 def test_decompose_worked_example():
     pairs = ((1, 2), (1, 2))  # xi[(1,1)|(2,2)], two moved coordinates
-    expr = decompose_y(pairs, 2)
-    assert expr.evaluate(2, 2) == AlgebraElement(2, 2, {pairs: 1})
-    assert all(label_index(a) <= 1 for a in expr.atoms())
+    tree = decompose_y(pairs, 2)
+    assert expr.evaluate(tree, 2) == AlgebraElement(2, 2, {pairs: 1})
+    assert all(label_index(a) <= 1 for a in expr.atoms(tree))
 
 
 def test_decompose_window():
     for (n, r) in [(2, 2), (2, 3), (3, 2)]:
         for idx in basis_indices(n, r, 1):
-            expr = decompose_y(idx, n)
-            assert all(label_index(a) <= 1 for a in expr.atoms())
+            tree = decompose_y(idx, n)
+            assert all(label_index(a) <= 1 for a in expr.atoms(tree))
 
 
 def test_decompose_x_cases():
     for (n, r) in [(2, 1), (3, 1), (3, 2)]:
         for idx in basis_indices(n, r, 1):
-            expr = decompose_x(idx, n)
-            for atom in expr.atoms():
+            tree = decompose_x(idx, n)
+            for atom in expr.atoms(tree):
                 moved = [(t, b) for t, b in atom if t != b]
                 assert len(moved) <= 1
                 if moved:
@@ -127,8 +128,31 @@ def test_decompose_x_requires_small_degree():
         decompose_x(((1, 1), (2, 2)), 2)
 
 
-def test_expression_json_round_trip():
-    expr = decompose_y(((1, 2), (1, 2)), 2)
-    data = expr.to_json()
-    again = Expr.from_json(data)
-    assert again.evaluate(2, 2) == expr.evaluate(2, 2)
+def _evaluate_json(data, n):
+    """A decomposition in its JSON form, multiplied out by the dual engine."""
+    op = data["op"]
+    if op == "atom":
+        return AlgebraElement.from_pairs(n, data["pairs"])
+    if op == "scale":
+        return _evaluate_json(data["child"], n).scale(Fraction(data["coeff"]))
+    children = [_evaluate_json(c, n) for c in data["children"]]
+    out = children[0]
+    for child in children[1:]:
+        out = out + child if op == "add" else multiply_schur_oracle(out, child)
+    return out
+
+
+@pytest.mark.parametrize(
+    "pairs, n, decompose",
+    [
+        (((1, 2), (1, 2)), 2, decompose_y),
+        (((1, 2), (2, 3), (3, 1)), 3, decompose_y),
+        (((1, 2), (1, 2)), 3, decompose_x),
+        (((1, 5),), 3, decompose_x),
+    ],
+    ids=["Y-n2-r2", "Y-n3-r3", "X-n3-r2", "X-n3-r1"],
+)
+def test_decomposition_json_evaluates_under_the_oracle(pairs, n, decompose):
+    tree = decompose(pairs, n)
+    got = _evaluate_json(expr.to_json(tree), n)
+    assert got == AlgebraElement(n, len(pairs), {pairs: 1})
