@@ -328,7 +328,7 @@ def print_node(node):
         return format_index(tuple(zip(top, bottom)))
     if node.kind == "scalar":
         txt = node.value.format()
-        if " " in txt:
+        if " " in txt or txt.startswith("-"):
             return "(%s)" % txt
         return txt
     if node.kind == "neg":

@@ -1,9 +1,13 @@
 """Exact coefficient arithmetic: rational Laurent polynomials in one formal parameter.
 
 The coefficient ring used everywhere else in this package is Q[a, a^-1] with a
-symbolic parameter ``a``.  Rationals are ``fractions.Fraction`` (arbitrary
-precision, normalized with positive denominator).  The same class doubles as
-the ring Q[t, t^-1] for periodic matrices; only the printed symbol differs.
+symbolic parameter ``a``.  A coefficient is stored as an ``int`` where it is
+integral and as a ``fractions.Fraction`` (arbitrary precision, positive
+denominator other than 1) otherwise.  Structure constants are integers, so
+almost every coefficient is an ``int``; ``Fraction(2) == 2`` and the two hash
+alike, so equality, hashing and the text and JSON forms do not depend on the
+storage.  The same class doubles as the ring Q[t, t^-1] for periodic
+matrices; only the printed symbol differs.
 """
 
 from __future__ import annotations
@@ -23,11 +27,17 @@ def format_rational(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _normal(c):
+    """A rational as stored: an integral ``Fraction`` becomes its ``int``."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class Laurent:
     """A Laurent polynomial sum of c * a^k with exact rational c and integer k.
 
     Immutable.  Zero coefficients are never stored; the zero polynomial has an
-    empty term dict.
+    empty term dict.  Every stored coefficient is an ``int`` or a ``Fraction``
+    whose denominator is not 1.
     """
 
     __slots__ = ("terms",)
@@ -36,36 +46,45 @@ class Laurent:
         clean = {}
         if terms:
             for exp, coeff in dict(terms).items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
+                if type(coeff) is not int:
+                    coeff = _normal(Fraction(coeff))
+                if coeff:
                     clean[int(exp)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, terms):
+        """The trusted constructor: a dict of int exponents to stored nonzero
+        coefficients, owned by the result."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Laurent values are immutable")
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def const(cls, c):
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def gen(cls, exp=1, coeff=1):
         """The monomial coeff * a^exp."""
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {0: Fraction(1)}
+        return self.terms == {0: 1}
 
     def is_constant(self):
         return set(self.terms) <= {0}
@@ -73,7 +92,7 @@ class Laurent:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get(0, Fraction(0))
+        return self.terms.get(0, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -91,33 +110,49 @@ class Laurent:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Laurent.const(other)
+        elif not isinstance(other, Laurent):
+            return NotImplemented
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Laurent(terms)
+            prior = terms.get(exp)
+            if prior is None:
+                terms[exp] = c
+                continue
+            c += prior
+            if c:
+                terms[exp] = _normal(c)
+            else:
+                del terms[exp]
+        return Laurent._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.terms.items()})
+        return Laurent._trusted({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Laurent) else Laurent.const(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Laurent.const(other)
+            if not other:
+                return Laurent._trusted({})
+            return Laurent._trusted({e: _normal(c * other) for e, c in self.terms.items()})
         if not isinstance(other, Laurent):
             return NotImplemented
+        mine, theirs = self.terms, other.terms
+        if len(mine) == 1 and len(theirs) == 1:
+            ((e1, c1),), ((e2, c2),) = mine.items(), theirs.items()
+            return Laurent._trusted({e1 + e2: _normal(c1 * c2)})
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in mine.items():
+            for e2, c2 in theirs.items():
                 e = e1 + e2
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Laurent(terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Laurent._trusted({e: _normal(c) for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -135,7 +170,7 @@ class Laurent:
 
     def substitute_inverse(self):
         """The image under a -> a^-1 (exponent negation)."""
-        return Laurent({-e: c for e, c in self.terms.items()})
+        return Laurent._trusted({-e: c for e, c in self.terms.items()})
 
     def evaluate(self, a0):
         """Substitute a := a0 (a nonzero rational) and return the exact value."""

@@ -51,8 +51,12 @@ def index_bottoms(pairs):
     return tuple(p[1] for p in pairs)
 
 
+@lru_cache(maxsize=None)
 def split_offsets(pairs, n):
-    """Write the bottoms as j + n*eps with j in I(n,r); returns (j, eps)."""
+    """Write the bottoms as j + n*eps with j in I(n,r); returns (j, eps).
+
+    Memoized: the product engines split the same labels over and over.
+    """
     bottoms = index_bottoms(pairs)
     j = bar_tuple(bottoms, n)
     eps = tuple((b - jj) // n for b, jj in zip(bottoms, j))
@@ -95,6 +99,9 @@ def set_persistent_cache(cache):
 def structure_constants(x_pairs, y_pairs, n):
     """The product xi_x * xi_y as a dict {canonical pairs: positive int}.
 
+    The values are ``int``s, as ``Laurent`` coefficients are where integral,
+    so ``bilinear`` scales by them without building a constant polynomial.
+    ``multiply`` asks only for composable pairs; any other pair gives {}.
     Computed by ``_green_product`` and memoized in-process.  When a persistent
     cache is installed, a miss is written to it, and a record read from it is
     re-derived the first time this process uses it; a mismatch raises
@@ -305,16 +312,28 @@ def bilinear(x, y, basis_product):
     def items():
         for xp, xc in x.terms.items():
             for yp, yc in y.terms.items():
-                coeff = xc * yc
-                for pairs, z in basis_product(xp, yp, n).items():
-                    yield pairs, coeff * z
+                product = basis_product(xp, yp, n)
+                if product:
+                    coeff = xc * yc
+                    for pairs, z in product.items():
+                        yield pairs, coeff * z
 
     return AlgebraElement._from_items(x.context, items())
 
 
 def multiply(x, y):
-    """Product by the double-coset structure constants."""
-    return bilinear(x, y, structure_constants)
+    """Product by the double-coset structure constants.
+
+    xi_x * xi_y is zero unless the bottom residues of x are the tops of y as
+    multisets, so only such composable pairs reach ``structure_constants``.
+    """
+
+    def composable_product(x_pairs, y_pairs, n):
+        if tuple(sorted(split_offsets(x_pairs, n)[0])) != index_tops(y_pairs):
+            return {}
+        return structure_constants(x_pairs, y_pairs, n)
+
+    return bilinear(x, y, composable_product)
 
 
 def identity(n, r):

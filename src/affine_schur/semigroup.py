@@ -67,7 +67,6 @@ class PeriodicMatrix(Combination):
         for (i, j), v in self.terms.items():
             col = bar(j, self.n)
             off = (j - col) // self.n
-            assert v.is_constant(), "Laurent-matrix form needs rational entries"
             mat[i - 1][col - 1] = mat[i - 1][col - 1] + Laurent.gen(
                 off, v.constant_value()
             )

@@ -88,8 +88,14 @@ class AffineWeylElement:
     def __init__(self, sigma, eps):
         sigma = tuple(sigma)
         eps = tuple(int(e) for e in eps)
-        assert sorted(sigma) == list(range(1, len(sigma) + 1)), "not a permutation"
-        assert len(eps) == len(sigma)
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
+            raise ValueError(
+                "sigma must be a permutation of 1..%d, got %s" % (len(sigma), sigma)
+            )
+        if len(eps) != len(sigma):
+            raise ValueError(
+                "eps has %d entries, sigma has %d" % (len(eps), len(sigma))
+            )
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "eps", eps)
 
@@ -120,7 +126,8 @@ class AffineWeylElement:
 
     def compose(self, other):
         """The element w with t.w = (t.self).other for every t."""
-        assert self.r == other.r
+        if self.r != other.r:
+            raise ValueError("cannot compose ranks %d and %d" % (self.r, other.r))
         sigma = compose_perm(self.sigma, other.sigma)
         eps = tuple(self.eps[s - 1] + e for s, e in zip(other.sigma, other.eps))
         return AffineWeylElement(sigma, eps)

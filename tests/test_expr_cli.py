@@ -8,7 +8,8 @@ import pytest
 from affine_schur import expr
 from affine_schur.cli import main
 from affine_schur.laurent import Laurent
-from affine_schur.schur import AlgebraElement, multiply, structure_constants
+from affine_schur.looplie import decompose_y
+from affine_schur.schur import AlgebraElement, basis_indices, multiply, structure_constants
 from affine_schur import cache as cache_mod
 from affine_schur import schur
 
@@ -55,6 +56,16 @@ def test_print_parse_round_trip():
         again = expr.parse(printed)
         assert expr.print_node(again) == printed
         assert expr.evaluate(again, 1) == expr.evaluate(node, 1)
+
+
+def test_decompositions_print_and_parse_back():
+    # a negative scale inside a sum must print as a factor parse reads back
+    for n in (1, 2):
+        for r in (1, 2, 3):
+            for pairs in basis_indices(n, r, 1):
+                tree = decompose_y(pairs, n)
+                again = expr.parse(expr.print_node(tree))
+                assert expr.evaluate(again, n) == expr.evaluate(tree, n)
 
 
 def test_scalar_parsing():
@@ -372,11 +383,15 @@ def test_invalid_input_exits_one_under_optimize(argv):
 _LIBRARY_CHECKS = """
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import LoopGenerator, lie_bracket_check
+from affine_schur.weyl import AffineWeylElement
 
 for call in (
     lambda: Laurent.gen(1).constant_value(),
     lambda: Laurent.gen(1) ** -1,
     lambda: lie_bracket_check(LoopGenerator(1, 1, 2), LoopGenerator(2, 1, 2), 1),
+    lambda: AffineWeylElement((1, 1), (0,)),
+    lambda: AffineWeylElement((2, 1), (0,)),
+    lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
 ):
     try:
         call()
@@ -389,7 +404,7 @@ for call in (
 
 def test_library_checks_raise_under_optimize():
     # -O strips assert statements; without a raise, a negative power of a
-    # never returns
+    # never returns and a non-permutation builds an affine Weyl element
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
         capture_output=True,
@@ -401,6 +416,9 @@ def test_library_checks_raise_under_optimize():
         "ValueError: not a constant: a",
         "ValueError: exponent must be an integer >= 0, got -1",
         "ValueError: generators of different periods 1 and 2",
+        "ValueError: sigma must be a permutation of 1..2, got (1, 1)",
+        "ValueError: eps has 1 entries, sigma has 2",
+        "ValueError: cannot compose ranks 1 and 2",
     ]
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from affine_schur.laurent import Laurent, format_rational, parse_rational
 
@@ -88,3 +88,86 @@ def test_power_and_zero():
     assert Laurent.zero() * Laurent.gen(5) == Laurent.zero()
     assert not Laurent.zero()
     assert Laurent.one().is_one()
+
+
+# -- int-first storage against an all-Fraction reference ------------------------
+
+mixed = st.one_of(
+    st.integers(-20, 20), st.booleans(), st.fractions(-20, 20, max_denominator=3)
+)
+mixed_polys = st.dictionaries(st.integers(-2, 2), mixed, max_size=3)
+nonzero = st.fractions(-9, 9, max_denominator=4).filter(bool)
+
+
+def _ref(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_format(p):
+    out = "0"
+    for k, e in enumerate(sorted(p)):
+        c = p[e]
+        power = "a" if e == 1 else "a^%d" % e
+        if e == 0:
+            body = str(abs(c))
+        else:
+            body = power if abs(c) == 1 else "%s*%s" % (abs(c), power)
+        if k == 0:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out
+
+
+def _stored(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(mixed_polys, mixed_polys, mixed, st.integers(0, 3), nonzero)
+@example({0: Fraction(1, 2)}, {0: Fraction(3, 2)}, 2, 2, Fraction(1, 2))
+@example({1: Fraction(2, 3)}, {1: Fraction(3, 2)}, Fraction(3, 2), 1, Fraction(-2))
+def test_int_first_storage_matches_fraction_reference(p, q, k, m, a0):
+    x, y, P, Q = Laurent(p), Laurent(q), _ref(p), _ref(q)
+    K = {0: Fraction(k)} if k else {}
+    power = {0: Fraction(1)}
+    for _ in range(m):
+        power = _ref_mul(power, P)
+    cases = [
+        (x, P),
+        (x + y, _ref_add(P, Q)),
+        (x - y, _ref_add(P, _ref_mul(Q, {0: Fraction(-1)}))),
+        (-x, _ref_mul(P, {0: Fraction(-1)})),
+        (x * y, _ref_mul(P, Q)),
+        (x * k, _ref_mul(P, K)),
+        (k * x, _ref_mul(P, K)),
+        (x + k, _ref_add(P, K)),
+        (k - x, _ref_add(K, _ref_mul(P, {0: Fraction(-1)}))),
+        (x ** m, power),
+        (x.substitute_inverse(), {-e: c for e, c in P.items()}),
+    ]
+    for got, want in cases:
+        assert got.terms == want
+        assert all(_stored(c) for c in got.terms.values()), got.terms
+        assert hash(got) == hash(frozenset(want.items()))
+        assert got.format() == _ref_format(want)
+        assert got.to_json() == [[e, str(c)] for e, c in sorted(want.items())]
+        assert got.evaluate(a0) == sum(
+            (c * a0 ** e for e, c in want.items()), Fraction(0)
+        )
+    assert (x == y) == (P == Q)
+    assert (x == k) == (P == K)

@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_schur.dual import multiply_schur_oracle
 from affine_schur.homs import psi_a
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
@@ -21,6 +22,7 @@ from affine_schur.schur import (
     transpose_antiauto,
     weyl_act,
 )
+from affine_schur.tensor import multiply_via_action
 from affine_schur.weyl import (
     AffineWeylElement,
     all_perms,
@@ -100,6 +102,19 @@ def test_vanishing_rule():
     assert multiply(x, y).is_zero()
     y2 = AlgebraElement.basis(2, (1, 1), (1, 2))
     assert not multiply(x, y2).is_zero()
+
+
+def test_multiply_skips_non_composable_pairs():
+    # bottom residues (1, 1) against tops (1, 2): the product is zero and is
+    # decided without a structure-constant lookup
+    x = AlgebraElement.basis(2, (1, 2), (1, 3))
+    y = AlgebraElement.basis(2, (1, 2), (1, 2))
+    before = structure_constants.cache_info()
+    assert multiply(x, y).is_zero()
+    after = structure_constants.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert multiply_schur_oracle(x, y).is_zero()
+    assert multiply_via_action(x, y).is_zero()
 
 
 def test_structure_constants_positive_integers():
