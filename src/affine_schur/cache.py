@@ -13,11 +13,14 @@ import json
 import os
 import threading
 
+from .combination import checked_int, read
+
 FORMAT_VERSION = 1
 
 ENV_VAR = "AFFINE_SCHUR_CACHE"
 
-_FIELDS = {"n", "left", "right", "value"}
+_LABEL = [(int, int)]
+_RECORD = {"n": int, "left": _LABEL, "right": _LABEL, "value": [(_LABEL, int)]}
 
 
 class StructureConstantCache:
@@ -39,7 +42,8 @@ class StructureConstantCache:
                 header = json.loads(first)
             except json.JSONDecodeError:
                 return
-            if header.get("format") != FORMAT_VERSION:
+            header = read(header, {"format": int}, "%s line 1: $" % self.path)
+            if header["format"] != FORMAT_VERSION:
                 return
             self._header_ok = True
             for lineno, line in enumerate(fh, start=2):
@@ -50,31 +54,10 @@ class StructureConstantCache:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn tail write; ignore
-                if (
-                    not isinstance(rec, dict)
-                    or not _FIELDS <= rec.keys()
-                    or not isinstance(rec["n"], int)
-                    or rec["n"] < 1
-                ):
-                    raise ValueError(
-                        "%s line %d: a cache record needs the fields n (at "
-                        "least 1), left, right and value" % (self.path, lineno)
-                    )
-                try:
-                    key = (
-                        rec["n"],
-                        _pairs_from_json(rec["left"]),
-                        _pairs_from_json(rec["right"]),
-                    )
-                    value = {
-                        _pairs_from_json(p): int(c) for p, c in rec["value"]
-                    }
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        "%s line %d: left and right are lists of integer pairs, "
-                        "value a list of [pairs, integer] entries" % (self.path, lineno)
-                    ) from None
-                self.table[key] = value
+                where = "%s line %d: $" % (self.path, lineno)
+                rec = read(rec, _RECORD, where)
+                checked_int(rec["n"], where + ".n", 1)
+                self.table[rec["n"], rec["left"], rec["right"]] = dict(rec["value"])
 
     def get(self, key):
         return self.table.get(key)
@@ -114,7 +97,3 @@ class StructureConstantCache:
             self._header_ok = False
             if os.path.exists(self.path):
                 os.remove(self.path)
-
-
-def _pairs_from_json(pairs):
-    return tuple((int(top), int(bottom)) for top, bottom in pairs)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import cache as cache_mod
 from . import expr as expr_mod
 from . import schur
+from .combination import read
 from .homs import HOM_KINDS, apply_hom
 from .laurent import format_rational, parse_rational
 from .looplie import LoopGenerator, decompose_x, decompose_y, pi_tilde
@@ -46,17 +47,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read_json(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in a file, or on stdin when the path is ``-``."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise UserError("%s: JSON nested too deeply" % path) from None
 
 
 def _element_from_arg(arg, n):
     """An element from inline expression text, a JSON file, or stdin."""
-    if arg == "-":
-        return AlgebraElement.from_json(json.load(sys.stdin))
-    if os.path.exists(arg) and not arg.lstrip().startswith("xi"):
+    if arg == "-" or os.path.exists(arg) and not arg.lstrip().startswith("xi"):
         return AlgebraElement.from_json(_read_json(arg))
     try:
         node = expr_mod.parse(arg)
@@ -204,14 +207,10 @@ def cmd_decompose(args):
 
 
 def cmd_witness(args):
-    data = _read_json(args.poly)
-    poly = []
-    n = args.n
-    for entry in data:
-        pairs = schur.label_from_json(entry["pairs"], n)
-        poly.append((pairs, parse_rational(str(entry["coeff"]))))
+    terms = read(_read_json(args.poly), [{"pairs": [(int, int)], "coeff": Fraction}])
+    poly = [(schur.label_from_json(t["pairs"], args.n), t["coeff"]) for t in terms]
     a0 = parse_rational(args.a0) if args.a0 else Fraction(1)
-    g, value = nonvanishing_witness(poly, n, special=args.special, a0=a0)
+    g, value = nonvanishing_witness(poly, args.n, special=args.special, a0=a0)
     out = g.to_json()
     out["value"] = (
         format_rational(value.constant_value())
@@ -373,7 +372,7 @@ def main(argv=None):
     except schur.CacheMismatchError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    except (UserError, ValueError, OSError, KeyError) as ex:
+    except (UserError, ValueError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1
     finally:

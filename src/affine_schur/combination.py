@@ -12,13 +12,79 @@ raises ``ValueError`` on malformed input, also under ``python -O``.
 ``_from_items`` is for results computed inside the package whose keys are
 already normal and whose coefficients are already coerced: it only adds the
 coefficients of equal keys and drops the zero sums.
+
+``read`` is the one shape check for JSON input: every ``from_json`` and every
+JSON document the command line reads goes through it.
 """
 
 from __future__ import annotations
 
+import json
+import re
+from fractions import Fraction
 from itertools import chain
 
 from .laurent import Laurent
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_MISSING = object()
+
+
+def read(data, spec, path="$"):
+    """The JSON value ``data`` checked against the shape ``spec``; lists become tuples.
+
+    A spec is ``int`` (a JSON integer, not a bool or a float), ``Fraction``
+    (an integer or a "p/q" string), ``[s]`` (a list of s), a tuple (a list
+    with one spec per entry), a dict (an object; a key ending in "?" may be
+    missing, other keys are ignored) or a function ``f(data, path)`` that
+    passes ``path`` on to ``read``.  A mismatch raises ``ValueError`` naming
+    the path from the root text ``path``, for example
+    ``$.terms[0].pairs[1][0]: expected an integer, got 2.7``.
+    """
+    kind = type(data)
+    if spec is int:
+        if kind is int:
+            return data
+        expected = "an integer"
+    elif spec is Fraction:
+        if kind is int or kind is str and _RATIONAL.fullmatch(data):
+            try:
+                return Fraction(data)
+            except (ValueError, ZeroDivisionError):
+                pass
+        expected = 'an integer or a "p/q" string'
+    elif type(spec) is list:
+        if kind is list:
+            return tuple([read(v, spec[0], (path, i)) for i, v in enumerate(data)])
+        expected = "a list"
+    elif type(spec) is tuple:
+        if kind is list and len(data) == len(spec):
+            items = enumerate(zip(data, spec))
+            return tuple([read(v, s, (path, i)) for i, (v, s) in items])
+        expected = "a list of %d" % len(spec)
+    elif type(spec) is dict:
+        if kind is dict:
+            out = {}
+            for key, s in spec.items():
+                name = key.rstrip("?")
+                if name in data:
+                    out[name] = read(data[name], s, (path, name))
+                elif name == key:
+                    return read(_MISSING, s, (path, name))  # no spec matches: raises
+            return out
+        expected = "an object"
+    else:
+        return spec(data, path)
+    steps = []
+    while type(path) is tuple:
+        path, step = path
+        steps.append("[%d]" % step if type(step) is int else "." + step)
+    shown = "nothing" if data is _MISSING else json.dumps(data, default=repr)
+    if len(shown) > 60:
+        shown = shown[:57] + "..."
+    raise ValueError("%s%s: expected %s, got %s" % (
+        path, "".join(reversed(steps)), expected, shown
+    ))
 
 
 def accumulate(items):

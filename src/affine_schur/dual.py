@@ -157,7 +157,8 @@ def sharp_compose_check(f, g, in_window, mid_window, out_window):
 
 def phi_as_map(n, s):
     """The coordinate-side map dual to the offset-rescaling endomorphism."""
-    assert s != 0
+    if s == 0:
+        raise ValueError("the offset multiplier s must be nonzero")
 
     def apply_fn(pairs):
         j, eps = split_offsets(pairs, n)

@@ -214,15 +214,16 @@ class Laurent:
         return [[e, format_rational(c)] for e, c in sorted(self.terms.items())]
 
     @classmethod
-    def from_json(cls, data):
-        """Inverse of ``to_json``: a list of [exponent, "p/q"] pairs."""
-        if not isinstance(data, list) or not all(
-            isinstance(t, list) and len(t) == 2 for t in data
-        ):
+    def from_json(cls, data, path="$"):
+        """Inverse of ``to_json``, read at ``path`` by ``combination.read``."""
+        from .combination import read
+
+        try:
+            return cls(dict(read(data, [(int, Fraction)], path)))
+        except ValueError as ex:
             raise ValueError(
-                'a coefficient is a list of [exponent, "p/q"] pairs, got %r' % (data,)
-            )
-        return cls({int(e): parse_rational(str(c)) for e, c in data})
+                '%s; a coefficient is a list of [exponent, "p/q"] pairs' % ex
+            ) from None
 
     @classmethod
     def parse(cls, text, symbol="a"):

@@ -84,7 +84,7 @@ def pi_tilde(gen, r):
         for i in weakly_increasing_tuples(n, r - 1):
             pairs = canonicalize(i + (s,), i + (t,), n)
             terms[pairs] = Laurent.one()
-    return AlgebraElement(n, r, terms)
+    return AlgebraElement._from_items((n, r), terms.items())
 
 
 def pi_tilde_matrix(m, r):

@@ -23,7 +23,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from math import factorial
 
-from .combination import Combination, checked_int
+from .combination import Combination, checked_int, read
 from .laurent import Laurent
 from .weyl import bar, bar_tuple, tuple_orbit_rep, weakly_increasing_tuples
 
@@ -283,24 +283,17 @@ class AlgebraElement(Combination):
 
     @classmethod
     def from_json(cls, data):
-        n = int(data["n"])
+        data = read(data, {"n": int, "r": int, "terms?": [
+            {"coeff": Laurent.from_json, "pairs": [(int, int)]}
+        ]})
+        n = data["n"]
         return cls(n, data["r"], (
-            (label_from_json(entry["pairs"], n), Laurent.from_json(entry["coeff"]))
-            for entry in data.get("terms", [])
+            (label_from_json(t["pairs"], n), t["coeff"]) for t in data.get("terms", ())
         ))
 
 
 def label_from_json(pairs, n):
-    """The canonical label of a JSON list of [top, bottom] integer pairs."""
-    if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(p, (list, tuple))
-        and len(p) == 2
-        and all(isinstance(v, int) for v in p)
-        for p in pairs
-    ):
-        raise ValueError(
-            "a label is a list of [top, bottom] integer pairs, got %r" % (pairs,)
-        )
+    """The canonical label of [top, bottom] integer pairs as ``read`` gives them."""
     return canonicalize(index_tops(pairs), index_bottoms(pairs), n)
 
 

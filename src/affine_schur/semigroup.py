@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combination import Combination, checked_int
-from .laurent import Laurent, format_rational, parse_rational
+from .combination import Combination, accumulate, checked_int, read
+from .laurent import Laurent, format_rational
 from .schur import AlgebraElement
 from .weyl import all_perms, bar, perm_sign
 
@@ -112,13 +112,13 @@ class PeriodicMatrix(Combination):
 
     @classmethod
     def from_json(cls, data):
-        def coeff(v):
-            if isinstance(v, list):
-                return Laurent.from_json(v)
-            return parse_rational(str(v))
+        data = read(data, {"n": int, "entries?": [(int, int, _entry_from_json)]})
+        return cls(data["n"], (((i, j), v) for i, j, v in data.get("entries", ())))
 
-        entries = data.get("entries", [])
-        return cls(data["n"], (((i, j), coeff(v)) for i, j, v in entries))
+
+def _entry_from_json(data, path):
+    """A matrix entry: a rational, or a Laurent polynomial in t as a list."""
+    return read(data, Laurent.from_json if type(data) is list else Fraction, path)
 
 
 def matrix_mul(g, h):
@@ -291,7 +291,8 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
     by direct evaluation.  With ``special`` the witness is normalized to have
     affine determinant one at ``a0``.
     """
-    poly = [(tuple(tuple(p) for p in pairs), Fraction(c)) for pairs, c in poly if c]
+    poly = accumulate((tuple(map(tuple, p)), Fraction(c)) for p, c in poly)
+    poly = list(poly.items())
     if not poly:
         raise ValueError("the zero combination has no nonvanishing witness")
     degrees = {len(pairs) for pairs, _ in poly}
@@ -307,7 +308,7 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
         for (i, j) in pairs:
             col = bar(j, n)
             offsets.add((j - col) // n)
-    offsets = sorted(offsets)
+    offsets = sorted(offsets) or [0]  # degree 0: the finite matrix itself
 
     tries = 0
     for scalars in _scalar_streams(len(offsets)):

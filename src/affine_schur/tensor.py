@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .combination import Combination, checked_int
+from .combination import Combination, checked_int, read
 from .laurent import Laurent
 from .schur import (
     bilinear,
@@ -78,9 +78,11 @@ class TensorVector(Combination):
 
     @classmethod
     def from_json(cls, data):
+        data = read(data, {"n": int, "r": int, "terms?": [
+            {"coeff": Laurent.from_json, "tuple": [int]}
+        ]})
         return cls(data["n"], data["r"], (
-            (entry["tuple"], Laurent.from_json(entry["coeff"]))
-            for entry in data.get("terms", [])
+            (t["tuple"], t["coeff"]) for t in data.get("terms", ())
         ))
 
 

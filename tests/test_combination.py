@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_schur.combination import accumulate
+from affine_schur.combination import accumulate, read
 from affine_schur.laurent import Laurent
 from affine_schur.schur import AlgebraElement
 from affine_schur.semigroup import PeriodicMatrix
@@ -15,6 +15,47 @@ def test_accumulate_adds_equal_keys_and_drops_zero_sums():
     got = accumulate(items)
     assert got == {"a": 3, "c": Fraction(1, 2)}
     assert list(got) == ["a", "c"]
+
+
+def test_read_converts_json_and_ignores_unknown_keys():
+    spec = {"a": [(int, Fraction)], "b?": int, "c?": int}
+    got = read({"a": [[1, "1/2"], [0, -3]], "c": 2, "z": 2.7}, spec)
+    assert got == {"a": ((1, Fraction(1, 2)), (0, Fraction(-3))), "c": 2}
+
+
+@pytest.mark.parametrize(
+    "data, spec, message",
+    [
+        (2.7, int, "$: expected an integer, got 2.7"),
+        (True, int, "$: expected an integer, got true"),
+        ("3", int, '$: expected an integer, got "3"'),
+        (float("inf"), int, "$: expected an integer, got Infinity"),
+        (0.5, Fraction, '$: expected an integer or a "p/q" string, got 0.5'),
+        (False, Fraction, '$: expected an integer or a "p/q" string, got false'),
+        ("0.5", Fraction, '$: expected an integer or a "p/q" string, got "0.5"'),
+        ("1/0", Fraction, '$: expected an integer or a "p/q" string, got "1/0"'),
+        ({"a": 1}, [int], '$: expected a list, got {"a": 1}'),
+        ([[1, 2], [3]], [(int, int)], "$[1]: expected a list of 2, got [3]"),
+        ([], {"n": int}, "$: expected an object, got []"),
+        ({"n": 1}, {"n": int, "r": int}, "$.r: expected an integer, got nothing"),
+        (
+            {"terms": [{"pairs": [[1, 2], [1, 2.7]]}]},
+            {"terms": [{"pairs": [(int, int)]}]},
+            "$.terms[0].pairs[1][1]: expected an integer, got 2.7",
+        ),
+        (
+            list(range(40)),
+            int,
+            "$: expected an integer, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, "
+            "14, 15, 16...",
+        ),
+    ],
+)
+def test_read_rejects_naming_the_json_path(data, spec, message):
+    # integers and rationals stay exact: no bool, float or decimal string
+    with pytest.raises(ValueError) as ex:
+        read(data, spec)
+    assert str(ex.value) == message
 
 
 def test_trusted_constructor_accumulates_without_checks():

@@ -313,6 +313,17 @@ def test_malformed_cache_record_exits_one(tmp_path, capsys, record):
     assert err.startswith("error: ") and "%s line 2" % path in err
 
 
+def test_malformed_cache_header_exits_one(tmp_path, capsys):
+    path = tmp_path / "head.jsonl"
+    path.write_text("[1]\n")
+    code, out = run_cli(
+        ["--cache", str(path), "multiply", "-n", "1", "xi[(1)|(2)]*xi[(1)|(3)]"]
+    )
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == "error: %s line 1: $: expected an object, got [1]\n" % path
+
+
 def test_poisoned_later_cache_record_exits_two(tmp_path):
     path = tmp_path / "two.jsonl"
     for product in ("xi[(1)|(2)]*xi[(1)|(3)]", "xi[(1)|(2)]*xi[(1)|(4)]"):
@@ -364,11 +375,40 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             ["witness", "--poly", "-", "--n", "1", "--special", "--a0", "0"],
             '[{"pairs":[[1,3]],"coeff":"1"}]',
         ),
+        # (argv, standard input, the JSON path the error names): documents of
+        # the wrong shape
+        (["weyl", "-", "--rho"], "[1,2]", "$: "),
+        (["det", "--matrix", "-"], '{"n":1,"entries":[5]}', "$.entries[0]: "),
+        (["weyl", "-", "--rho"], '{"n":1,"r":1,"terms":[5]}', "$.terms[0]: "),
+        (["weyl", "-", "--rho"], '{"n":1,"r":1,"terms":{"a":1}}', "$.terms: "),
+        (["witness", "--poly", "-", "--n", "1"], "[5]", "$[0]: "),
+        (["weyl", "-", "--rho"], '{"n":1e400,"r":1,"terms":[]}', "$.n: "),
+        (
+            ["weyl", "-", "--rho"],
+            '{"n":1,"r":1,"terms":[{"coeff":[[1e400,"1"]],"pairs":[[1,1]]}]}',
+            "$.terms[0].coeff[0][0]: ",
+        ),
+        # a fractional n is rejected, not truncated to 2 (xi[(1)|(1)] printed)
+        (
+            ["weyl", "-", "--rho", "--text"],
+            '{"n":2.7,"r":1,"terms":[{"pairs":[[2,2]],"coeff":[[0,"1"]]}]}',
+            "$.n: ",
+        ),
+        (
+            ["act", "xi[(1,1)|(1,2)]", "-", "-n", "1"],
+            '{"n":1,"r":2,"terms":[{"coeff":[[0,"1"]],"tuple":[true,2]}]}',
+            "$.terms[0].tuple[0]: ",
+        ),
+        (
+            ["weyl", "-", "--rho"],
+            '{"n":1,"r":1,"terms":[{"pairs":[[1,1]]}]}',
+            "$.terms[0].coeff: ",
+        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):
     # -O strips assert statements, so input checks must not be asserts
-    argv, stdin = argv if isinstance(argv, tuple) else (argv, "")
+    argv, stdin, path = (*argv, "")[:3] if isinstance(argv, tuple) else (argv, "", "")
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "affine_schur.cli", *argv],
         input=stdin,
@@ -377,15 +417,17 @@ def test_invalid_input_exits_one_under_optimize(argv):
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: " + path)
 
 
 _LIBRARY_CHECKS = """
+from affine_schur.dual import phi_as_map
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import LoopGenerator, lie_bracket_check
 from affine_schur.weyl import AffineWeylElement
 
 for call in (
+    lambda: phi_as_map(1, 0).apply(((1, 2),)),
     lambda: Laurent.gen(1).constant_value(),
     lambda: Laurent.gen(1) ** -1,
     lambda: lie_bracket_check(LoopGenerator(1, 1, 2), LoopGenerator(2, 1, 2), 1),
@@ -403,8 +445,9 @@ for call in (
 
 
 def test_library_checks_raise_under_optimize():
-    # -O strips assert statements; without a raise, a negative power of a
-    # never returns and a non-permutation builds an affine Weyl element
+    # -O strips assert statements; without a raise, a zero offset multiplier
+    # divides by zero, a negative power of a never returns and a
+    # non-permutation builds an affine Weyl element
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
         capture_output=True,
@@ -413,6 +456,7 @@ def test_library_checks_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "ValueError: the offset multiplier s must be nonzero",
         "ValueError: not a constant: a",
         "ValueError: exponent must be an integer >= 0, got -1",
         "ValueError: generators of different periods 1 and 2",

@@ -201,12 +201,18 @@ def test_witness_examples():
     assert membership(g3, "SL-at", 2)
     assert not value3.is_zero()
 
+    # degree 0: the empty label is the constant coordinate
+    g4, value4 = nonvanishing_witness([((), Fraction(3))], 2)
+    assert g4 == PeriodicMatrix.identity(2) and value4 == Laurent.const(3)
+
 
 def test_witness_rejects_zero():
     with pytest.raises(ValueError):
         nonvanishing_witness([], 1)
     with pytest.raises(ValueError):
         nonvanishing_witness([(((1, 1),), Fraction(0))], 1)
+    with pytest.raises(ValueError):  # two terms that cancel
+        nonvanishing_witness([(((1, 0),), 1), (((1, 0),), Fraction(-1))], 1)
 
 
 def test_coord_value():
