@@ -52,7 +52,9 @@ class LoopGenerator:
         raise AttributeError("immutable")
 
     def matrix(self):
-        return PeriodicMatrix.unit(self.n, self.row, self.col)
+        """``PeriodicMatrix.unit(n, row, col)``; the row is already in 1..n."""
+        key = (self.row, self.col)
+        return PeriodicMatrix._from_items((self.n,), ((key, Laurent.one()),))
 
     def __repr__(self):
         return "E[%d,%d]" % (self.row, self.col)
@@ -68,8 +70,12 @@ class LoopGenerator:
         return hash((self.n, self.row, self.col))
 
 
+@lru_cache(maxsize=None)
 def pi_tilde(gen, r):
-    """The image of an elementary loop matrix in the degree-r algebra."""
+    """The image of an elementary loop matrix in the degree-r algebra.
+
+    Memoized: the bracket checks ask for the same few images again and again.
+    """
     if r < 1:
         raise ValueError("the degree r must be at least 1, got %d" % r)
     n, s, t = gen.n, gen.row, gen.col
@@ -89,10 +95,12 @@ def pi_tilde(gen, r):
 
 def pi_tilde_matrix(m, r):
     """Linear extension of the generator images to a periodic matrix."""
-    out = AlgebraElement.zero(m.n, r)
-    for (i, j), v in m.terms.items():
-        out = out + pi_tilde(LoopGenerator(m.n, i, j), r).scale(v)
-    return out
+    context = AlgebraElement.zero(m.n, r).context  # checks r, also for m = 0
+    return AlgebraElement._from_items(context, (
+        (pairs, v * c)
+        for (i, j), v in m.terms.items()
+        for pairs, c in pi_tilde(LoopGenerator(m.n, i, j), r).terms.items()
+    ))
 
 
 def lie_bracket_check(g1, g2, r):

@@ -298,7 +298,12 @@ def label_from_json(pairs, n):
 
 
 def bilinear(x, y, basis_product):
-    """The bilinear extension to elements of a basis product {pairs: int}."""
+    """The bilinear extension to elements of a basis product {pairs: int}.
+
+    Visits every pair of terms, so ``basis_product`` must derive its own
+    zeros.  The two oracle engines (``dual.multiply_schur_oracle`` and
+    ``tensor.multiply_via_action``) multiply through it; ``multiply`` does not.
+    """
     x._check_context(y)
     n = x.n
 
@@ -315,18 +320,27 @@ def bilinear(x, y, basis_product):
 
 
 def multiply(x, y):
-    """Product by the double-coset structure constants.
+    """Product by the double-coset structure constants (the Green engine).
 
     xi_x * xi_y is zero unless the bottom residues of x are the tops of y as
-    multisets, so only such composable pairs reach ``structure_constants``.
+    multisets.  The terms of y are grouped once by their tops, so each term of
+    x meets only its composable partners, and only composable pairs reach
+    ``structure_constants``.
     """
+    x._check_context(y)
+    n = x.n
+    by_tops = {}
+    for yp, yc in y.terms.items():
+        by_tops.setdefault(index_tops(yp), []).append((yp, yc))
 
-    def composable_product(x_pairs, y_pairs, n):
-        if tuple(sorted(split_offsets(x_pairs, n)[0])) != index_tops(y_pairs):
-            return {}
-        return structure_constants(x_pairs, y_pairs, n)
+    def items():
+        for xp, xc in x.terms.items():
+            for yp, yc in by_tops.get(tuple(sorted(split_offsets(xp, n)[0])), ()):
+                coeff = xc * yc
+                for pairs, z in structure_constants(xp, yp, n).items():
+                    yield pairs, coeff * z
 
-    return bilinear(x, y, composable_product)
+    return AlgebraElement._from_items(x.context, items())
 
 
 def identity(n, r):

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from .combination import checked_int
 from .laurent import Laurent
 from .schur import (
     AlgebraElement,
@@ -56,10 +57,20 @@ SUITES = (
     "generators",
 )
 
+# The least value of each size parameter: below it a suite would run no
+# checks and pass, or fail with a traceback inside a check.  The mackey suite
+# splits S_r into S_{r-1} x S_1, so there r is at least 1.
+_LEAST = {"n": 1, "r": 0, "window": 0, "budget": 0, "triples": 0, "offset": 0, "count": 0}
+
 
 def run_suite(name, **params):
+    """Run one suite; a size parameter below its least value raises ValueError."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
+    bounds = dict(_LEAST, r=1) if name == "mackey" else _LEAST
+    for key, least in bounds.items():
+        if params.get(key) is not None:
+            params[key] = checked_int(params[key], key, least)
     fn = {
         "oracle-equivalence": suite_oracle_equivalence,
         "ring-axioms": suite_ring_axioms,

@@ -8,6 +8,7 @@ thousand pairs in total.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -62,9 +63,24 @@ def test_criterion_2_worked_values():
     _report(2, "worked product values via all three engines", ok)
 
 
+def _counts(report):
+    return [(c["name"], c["count"]) for c in report["checks"]]
+
+
 def test_criterion_3_ring_axioms():
     report = run_suite("ring-axioms", triples=1000)
     passed, count = _suite_passed(report)
+    # a faster product must not check fewer triples: pin every count
+    assert _counts(report) == [
+        (name % (n, r), c)
+        for n in (1, 2, 3)
+        for r in (1, 2, 3)
+        for name, c in (
+            ("associativity-n%d-r%d", 1000),
+            ("identity-laws-n%d-r%d", 50),
+            ("orthogonal-idempotents-n%d-r%d", math.comb(n + r - 1, r) ** 2),
+        )
+    ]
     _report(3, "ring axioms, %d checks" % count, passed)
 
 
@@ -122,6 +138,15 @@ def test_criterion_6_semigroup_laws():
 def test_criterion_7_loop_algebra_suite():
     report = run_suite("lie", offset=2)
     passed, count = _suite_passed(report)
+    assert _counts(report) == [
+        ("bracket-n%d-r%d" % (n, r), pairs)
+        for n, pairs in ((2, 400), (3, 2025))
+        for r in (1, 2, 3)
+    ] + [
+        ("det-transfer-of-generator-images", 20),
+        ("collapse-of-generator-images", 114),
+        ("images-centralize-right-action", 150),
+    ]
     gen_report = run_suite("generators", window=1)
     gpassed, gcount = _suite_passed(gen_report)
     _report(

@@ -404,6 +404,33 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             '{"n":1,"r":1,"terms":[{"pairs":[[1,1]]}]}',
             "$.terms[0].coeff: ",
         ),
+        # (argv, standard input, the message): verify sizes below their least
+        # value, which would fail inside a check or run none and pass
+        (["verify", "mackey", "--r", "0"], "", "r must be at least 1, got 0\n"),
+        (["verify", "mackey", "--r", "-1"], "", "r must be at least 1, got -1\n"),
+        (["verify", "hom-laws", "--window", "-2"], "", "window must be at least 0, got -2\n"),
+        (
+            ["verify", "ring-axioms", "--n", "2", "--r", "2", "--window", "-1"],
+            "",
+            "window must be at least 0, got -1\n",
+        ),
+        (
+            ["verify", "oracle-equivalence", "--n", "2", "--r", "2", "--window", "-1"],
+            "",
+            "window must be at least 0, got -1\n",
+        ),
+        (
+            ["verify", "oracle-equivalence", "--n", "2", "--r", "2", "--budget", "-1"],
+            "",
+            "budget must be at least 0, got -1\n",
+        ),
+        (
+            ["verify", "ring-axioms", "--n", "1", "--r", "1", "--triples", "-1"],
+            "",
+            "triples must be at least 0, got -1\n",
+        ),
+        (["verify", "semigroup-laws", "--count", "-1"], "", "count must be at least 0, got -1\n"),
+        (["verify", "lie", "--offset", "-1"], "", "offset must be at least 0, got -1\n"),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):

@@ -17,7 +17,7 @@ from affine_schur.looplie import (
     pi_tilde,
     pi_tilde_matrix,
 )
-from affine_schur.semigroup import eta_as
+from affine_schur.semigroup import PeriodicMatrix, eta_as
 
 
 def test_pi_tilde_examples():
@@ -38,6 +38,40 @@ def test_pi_tilde_finite_restriction():
                 img = pi_tilde(LoopGenerator(n, s, t), 2)
                 assert img.is_finite_support()
                 assert psi_a(img) == img
+
+
+def test_pi_tilde_is_memoized():
+    gens = [
+        LoopGenerator(n, s, t)
+        for n in (1, 2, 3)
+        for s in range(1, n + 1)
+        for t in (s, s + 1, s - n - 1, s + 2 * n)
+    ]
+    cached = {}
+    for gen in gens:
+        for r in (1, 2, 3):
+            cached[gen, r] = pi_tilde(gen, r)
+            before = pi_tilde.cache_info()
+            assert pi_tilde(LoopGenerator(gen.n, gen.row, gen.col), r) is cached[gen, r]
+            after = pi_tilde.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    pi_tilde.cache_clear()
+    for (gen, r), image in cached.items():
+        assert pi_tilde(gen, r) == image
+
+
+def test_pi_tilde_rejects_degree_zero_every_time():
+    gen = LoopGenerator(2, 1, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="at least 1"):
+            pi_tilde(gen, 0)
+
+
+def test_generator_matrix_is_the_unit_matrix():
+    for n in (1, 2, 3):
+        for s in range(1, n + 1):
+            for t in range(-2 * n, 3 * n + 1):
+                assert LoopGenerator(n, s, t).matrix() == PeriodicMatrix.unit(n, s, t)
 
 
 def test_bracket_examples():

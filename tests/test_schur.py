@@ -117,6 +117,46 @@ def test_multiply_skips_non_composable_pairs():
     assert multiply_via_action(x, y).is_zero()
 
 
+def _mixed_elements(rng, n, r):
+    """Seeded x, y with Laurent coefficients; some pairs of terms compose."""
+    idxs = basis_indices(n, r, 1)
+    by_tops = defaultdict(list)
+    for p in idxs:
+        by_tops[index_tops(p)].append(p)
+
+    def coeff():
+        return Laurent.gen(rng.randint(-2, 2), rng.choice((1, 2, 3, -1)))
+
+    xs = rng.sample(idxs, 3)
+    partners = [by_tops[tuple(sorted(bar_tuple(index_bottoms(p), n)))] for p in xs[:2]]
+    ys = rng.sample(idxs, 2) + [rng.choice(ps) for ps in partners]
+    return (
+        AlgebraElement(n, r, [(p, coeff()) for p in xs]),
+        AlgebraElement(n, r, [(p, coeff()) for p in ys]),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multiply_looks_up_only_composable_pairs(n):
+    rng = random.Random(20261018 + n)
+    for r in (1, 2, 3):
+        mixed = 0
+        for _ in range(4):
+            x, y = _mixed_elements(rng, n, r)
+            pairs = [(xp, yp) for xp in x.terms for yp in y.terms]
+            composable = sum(
+                sorted(bar_tuple(index_bottoms(xp), n)) == list(index_tops(yp))
+                for xp, yp in pairs
+            )
+            mixed += 0 < composable < len(pairs)
+            before = structure_constants.cache_info()
+            product = multiply(x, y)
+            after = structure_constants.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + composable
+            assert product == multiply_schur_oracle(x, y) == multiply_via_action(x, y)
+        assert mixed, "no sampled product mixed composable and non-composable pairs"
+
+
 def test_structure_constants_positive_integers():
     rng = random.Random(5)
     idxs = basis_indices(2, 2, 1)
