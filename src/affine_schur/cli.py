@@ -222,13 +222,13 @@ def cmd_witness(args):
     return 0
 
 
+# The suite parameters that have a flag; run_suite rejects those a suite does not take.
+_VERIFY_FLAGS = ("n", "r", "window", "budget", "seed", "triples", "offset", "count")
+
+
 def cmd_verify(args):
-    params = {}
-    for name in ("n", "r", "window", "budget", "seed", "triples", "offset", "count"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
-    report = run_suite(args.suite, **params)
+    given = ((name, getattr(args, name)) for name in _VERIFY_FLAGS)
+    report = run_suite(args.suite, **{k: v for k, v in given if v is not None})
     if args.json:
         json.dump(report, sys.stdout)
         sys.stdout.write("\n")
@@ -340,14 +340,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--triples", type=int)
-    p.add_argument("--offset", type=int)
-    p.add_argument("--count", type=int)
+    for name in _VERIFY_FLAGS:
+        p.add_argument("--" + name, type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -289,7 +289,8 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
     terms, spread block-scaled copies of a finite invertible matrix over those
     offsets, and search deterministically over small block scalars, verifying
     by direct evaluation.  With ``special`` the witness is normalized to have
-    affine determinant one at ``a0``.
+    affine determinant one at ``a0``.  After ``max_tries`` candidates without
+    a witness it raises ``ValueError``.
     """
     poly = accumulate((tuple(map(tuple, p)), Fraction(c)) for p, c in poly)
     poly = list(poly.items())
@@ -310,29 +311,30 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
             offsets.add((j - col) // n)
     offsets = sorted(offsets) or [0]  # degree 0: the finite matrix itself
 
+    candidates = (
+        (dict(zip(offsets, scalars)), base)
+        for scalars in _scalar_streams(len(offsets))
+        for base in _base_matrices(n, special)
+    )
     tries = 0
-    for scalars in _scalar_streams(len(offsets)):
-        blocks = dict(zip(offsets, scalars))
-        for base in _base_matrices(n, special):
-            tries += 1
-            if tries > max_tries:
-                raise RuntimeError("witness search exhausted")
-            g = _assemble(base, blocks, n)
-            if special:
-                c = sum(s * a0 ** l for l, s in blocks.items())
-                if c == 0:
-                    continue
-                g = g.scale(Fraction(1) / c)
-            value = evaluate_combination(poly, g)
-            if value.is_zero():
+    for blocks, base in itertools.islice(candidates, max_tries):
+        tries += 1
+        g = _assemble(base, blocks, n)
+        if special:
+            c = sum(s * a0 ** l for l, s in blocks.items())
+            if c == 0:
                 continue
-            if special:
-                if not membership(g, "SL-at", a0):
-                    continue
-            elif not membership(g, "GL-generic"):
+            g = g.scale(Fraction(1) / c)
+        value = evaluate_combination(poly, g)
+        if value.is_zero():
+            continue
+        if special:
+            if not membership(g, "SL-at", a0):
                 continue
-            return g, value
-    raise RuntimeError("witness search exhausted")
+        elif not membership(g, "GL-generic"):
+            continue
+        return g, value
+    raise ValueError("witness search exhausted after %d trials" % tries)
 
 
 def _scalar_streams(k):

@@ -1,8 +1,20 @@
 """Verification suites: each runs a family of exact identity checks and
 returns a machine-readable report with counterexample payloads on failure.
+All checks are exact; there are no tolerances.
 
-Suite names: oracle-equivalence, ring-axioms, hom-laws, semigroup-laws,
-mackey, lie, generators.  All checks are exact; there are no tolerances.
+The suites and the parameters each takes; ``run_suite`` raises ``ValueError``
+for any other parameter, so ``affine-schur verify`` exits 1 with a message:
+
+  oracle-equivalence  n, r, window, budget, seed
+  ring-axioms         n, r, window, triples, seed
+  hom-laws            n, r, window, seed, samples
+  semigroup-laws      n, count, seed
+  mackey              r, n, seed
+  lie                 offset, rmax, seed
+  generators          window, nmax, rmax
+
+The first two take n and r together, or neither for every n, r <= 3.
+``samples``, ``nmax`` and ``rmax`` have no command-line flag.
 """
 
 from __future__ import annotations
@@ -24,7 +36,14 @@ from .schur import (
     transpose_antiauto,
     weyl_act,
 )
-from .dual import multiply_schur_oracle
+from .dual import (
+    RowFiniteMap,
+    compose_maps,
+    det_multiplication_map,
+    multiply_schur_oracle,
+    phi_as_map,
+    sharp_compose_check,
+)
 from .tensor import TensorVector, act, multiply_via_action, weyl_right_act
 from .homs import det_tilde_sharp, psi_a, psi_as
 from .semigroup import (
@@ -45,16 +64,12 @@ from .looplie import (
     pi_tilde,
     pi_tilde_matrix,
 )
-from .weyl import AffineWeylElement, all_perms, bar, young_subgroup
-
-SUITES = (
-    "oracle-equivalence",
-    "ring-axioms",
-    "hom-laws",
-    "semigroup-laws",
-    "mackey",
-    "lie",
-    "generators",
+from .weyl import (
+    AffineWeylElement,
+    all_perms,
+    bar,
+    weakly_increasing_tuples,
+    young_subgroup,
 )
 
 # The least value of each size parameter: below it a suite would run no
@@ -64,35 +79,49 @@ _LEAST = {"n": 1, "r": 0, "window": 0, "budget": 0, "triples": 0, "offset": 0, "
 
 
 def run_suite(name, **params):
-    """Run one suite; a size parameter below its least value raises ValueError."""
+    """Run one suite; ``ValueError`` for a parameter it does not take or a size
+    parameter below its least value."""
+    import inspect  # here, not at the top: it adds about 5 ms to every CLI start
+
     if name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
+    takes = inspect.signature(SUITES[name]).parameters
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise ValueError("suite %s takes no parameter %s; it takes %s"
+                         % (name, ", ".join(unknown), ", ".join(takes)))
     bounds = dict(_LEAST, r=1) if name == "mackey" else _LEAST
     for key, least in bounds.items():
         if params.get(key) is not None:
             params[key] = checked_int(params[key], key, least)
-    fn = {
-        "oracle-equivalence": suite_oracle_equivalence,
-        "ring-axioms": suite_ring_axioms,
-        "hom-laws": suite_hom_laws,
-        "semigroup-laws": suite_semigroup_laws,
-        "mackey": suite_mackey,
-        "lie": suite_lie,
-        "generators": suite_generators,
-    }[name]
-    checks = fn(**params)
-    return {
-        "suite": name,
-        "passed": all(c["passed"] for c in checks),
-        "checks": checks,
-    }
+    checks = SUITES[name](**params)
+    return {"suite": name, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def _check(name, passed, count, detail=None):
-    out = {"name": name, "passed": bool(passed), "count": count}
+def _check(name, cases, failure, side=()):
+    """One check: ``failure(case)``, a counterexample dict or None, on each case.
+
+    It stops at the first counterexample and counts the cases it evaluated.
+    ``side`` yields the outcomes of conditions outside the counted cases; it is
+    read only once every case has passed.
+    """
+    count = 0
+    for count, case in enumerate(cases, 1):
+        detail = failure(case)
+        if detail is not None:
+            break
+    else:
+        detail = next((d for d in side if d is not None), None)
+    out = {"name": name, "passed": detail is None, "count": count}
     if detail is not None:
         out["detail"] = detail
     return out
+
+
+def _holds(case):
+    """A (label, test) case fails, naming its label, when ``test()`` is false."""
+    label, test = case
+    return None if test() else {"failed": label}
 
 
 def _basis_elem(n, r, pairs):
@@ -108,121 +137,105 @@ def _random_element(rng, n, r, window, nterms=2):
     return AlgebraElement(n, r, terms)
 
 
+def _random_pairs(rng, k, n, r, window):
+    """``k`` pairs of random elements, drawn only as they are asked for."""
+    for _ in range(k):
+        x = _random_element(rng, n, r, window)
+        yield x, _random_element(rng, n, r, window)
+
+
+def _grid(n, r):
+    """The (n, r) contexts of a grid suite: the one given, or every n, r <= 3."""
+    if (n is None) != (r is None):
+        raise ValueError("n and r must be given together")
+    return [(n, r)] if n is not None else list(itertools.product((1, 2, 3), repeat=2))
+
+
+def _symmetries(n):
+    return [WeylSymmetry.rho(n)] + [WeylSymmetry.s(n, i) for i in range(1, n + 1)]
+
+
 # -- oracle equivalence ------------------------------------------------------------
 
 def _oracle_pairs(n, r, window, budget, rng):
     idxs = basis_indices(n, r, window)
-    total = len(idxs) * len(idxs)
-    if total <= budget:
-        return [(x, y) for x in idxs for y in idxs]
-    out = []
-    for _ in range(budget):
-        out.append((rng.choice(idxs), rng.choice(idxs)))
-    return out
+    if len(idxs) * len(idxs) <= budget:
+        return list(itertools.product(idxs, repeat=2))
+    return [(rng.choice(idxs), rng.choice(idxs)) for _ in range(budget)]
 
-def suite_oracle_equivalence(n=None, r=None, window=2, budget=800, seed=20240601, **_):
+
+def _three_way_failure(n, r, pair):
+    x, y = _basis_elem(n, r, pair[0]), _basis_elem(n, r, pair[1])
+    g, s, t = multiply(x, y), multiply_schur_oracle(x, y), multiply_via_action(x, y)
+    if not (g == s == t):
+        return {"left": str(x), "right": str(y), "green": str(g),
+                "schur": str(s), "tensor": str(t)}
+    # vanishing rule: zero exactly when middle orbits differ
+    bottoms = sorted(bar(b, n) for b in index_bottoms(pair[0]))
+    if g.is_zero() == (bottoms == sorted(index_tops(pair[1]))):
+        return {"left": str(x), "right": str(y), "vanishing": str(g)}
+    return None
+
+
+def _worked_failure(case):
+    x, y, want = case
+    if multiply(x, y) == multiply_schur_oracle(x, y) == multiply_via_action(x, y) == want:
+        return None
+    return {"left": str(x), "right": str(y), "want": str(want)}
+
+
+def suite_oracle_equivalence(n=None, r=None, window=2, budget=800, seed=20240601):
     """Three-way agreement of the product engines on basis pairs."""
     rng = random.Random(seed)
-    combos = (
-        [(n, r)]
-        if n is not None and r is not None
-        else [(nn, rr) for nn in (1, 2, 3) for rr in (1, 2, 3)]
-    )
-    checks = []
-    for nn, rr in combos:
-        count = 0
-        bad = None
-        for xp, yp in _oracle_pairs(nn, rr, window, budget, rng):
-            x, y = _basis_elem(nn, rr, xp), _basis_elem(nn, rr, yp)
-            g = multiply(x, y)
-            s = multiply_schur_oracle(x, y)
-            t = multiply_via_action(x, y)
-            count += 1
-            if not (g == s == t):
-                bad = {"left": str(x), "right": str(y), "green": str(g),
-                       "schur": str(s), "tensor": str(t)}
-                break
-            # vanishing rule: zero exactly when middle orbits differ
-            mid_ok = sorted(bar(b, nn) for b in index_bottoms(xp)) == sorted(
-                index_tops(yp)
-            )
-            if g.is_zero() == mid_ok:
-                bad = {"left": str(x), "right": str(y), "vanishing": str(g)}
-                break
-        checks.append(
-            _check("three-way-product-n%d-r%d" % (nn, rr), bad is None, count, bad)
-        )
-    # pinned worked values, all engines
-    x = AlgebraElement.basis(1, (1, 1), (1, 2))
-    want = AlgebraElement.basis(1, (1, 1), (1, 3)) + AlgebraElement.basis(
-        1, (1, 1), (2, 2)
-    ).scale(2)
-    ok1 = multiply(x, x) == multiply_schur_oracle(x, x) == multiply_via_action(x, x) == want
-    a2 = AlgebraElement.basis(2, (1, 2), (1, 1))
-    b2 = AlgebraElement.basis(2, (1, 1), (1, 2))
-    want2 = AlgebraElement.basis(2, (1, 2), (1, 2)) + AlgebraElement.basis(
-        2, (1, 2), (2, 1)
-    )
-    ok2 = (
-        multiply(a2, b2)
-        == multiply_schur_oracle(a2, b2)
-        == multiply_via_action(a2, b2)
-        == want2
-    )
-    checks.append(_check("worked-square-degree2", ok1, 1))
-    checks.append(_check("worked-finite-product", ok2, 1))
-    return checks
+    checks = [
+        _check("three-way-product-n%d-r%d" % (nn, rr),
+               _oracle_pairs(nn, rr, window, budget, rng),
+               lambda pair: _three_way_failure(nn, rr, pair))
+        for nn, rr in _grid(n, r)
+    ]
+    b = AlgebraElement.basis
+    worked = [  # pinned worked values, all engines
+        ("worked-square-degree2", b(1, (1, 1), (1, 2)), b(1, (1, 1), (1, 2)),
+         b(1, (1, 1), (1, 3)) + b(1, (1, 1), (2, 2)).scale(2)),
+        ("worked-finite-product", b(2, (1, 2), (1, 1)), b(2, (1, 1), (1, 2)),
+         b(2, (1, 2), (1, 2)) + b(2, (1, 2), (2, 1))),
+    ]
+    return checks + [_check(name, [case], _worked_failure) for name, *case in worked]
 
 
 # -- ring axioms -------------------------------------------------------------------
 
-def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602, **_):
-    rng = random.Random(seed)
-    combos = (
-        [(n, r)]
-        if n is not None and r is not None
-        else [(nn, rr) for nn in (1, 2, 3) for rr in (1, 2, 3)]
-    )
-    checks = []
-    for nn, rr in combos:
-        idxs = basis_indices(nn, rr, window)
-        bad = None
-        count = 0
-        for _ in range(triples):
-            a, b, c = (_basis_elem(nn, rr, rng.choice(idxs)) for _ in range(3))
-            count += 1
-            if multiply(multiply(a, b), c) != multiply(a, multiply(b, c)):
-                bad = {"a": str(a), "b": str(b), "c": str(c)}
-                break
-        checks.append(
-            _check("associativity-n%d-r%d" % (nn, rr), bad is None, count, bad)
-        )
-        e = identity(nn, rr)
-        bad = None
-        for idx in rng.sample(idxs, min(len(idxs), 50)):
-            x = _basis_elem(nn, rr, idx)
-            if multiply(e, x) != x or multiply(x, e) != x:
-                bad = {"x": str(x)}
-                break
-        checks.append(_check("identity-laws-n%d-r%d" % (nn, rr), bad is None, 50, bad))
-        # orthogonal idempotent decomposition
-        from .weyl import weakly_increasing_tuples
+def _associativity_failure(triple):
+    a, b, c = triple
+    if multiply(multiply(a, b), c) == multiply(a, multiply(b, c)):
+        return None
+    return {"a": str(a), "b": str(b), "c": str(c)}
 
-        diag = [
-            _basis_elem(nn, rr, tuple((v, v) for v in t))
-            for t in weakly_increasing_tuples(nn, rr)
+
+def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602):
+    rng = random.Random(seed)
+    checks = []
+    for nn, rr in _grid(n, r):
+        idxs = basis_indices(nn, rr, window)
+        e, zero = identity(nn, rr), AlgebraElement.zero(nn, rr)
+        # orthogonal idempotent decomposition
+        diag = [_basis_elem(nn, rr, tuple((v, v) for v in t))
+                for t in weakly_increasing_tuples(nn, rr)]
+        checks += [
+            _check("associativity-n%d-r%d" % (nn, rr),
+                   (tuple(_basis_elem(nn, rr, rng.choice(idxs)) for _ in range(3))
+                    for _ in range(triples)),
+                   _associativity_failure),
+            _check("identity-laws-n%d-r%d" % (nn, rr),
+                   [_basis_elem(nn, rr, i) for i in rng.sample(idxs, min(len(idxs), 50))],
+                   lambda x: None if multiply(e, x) == x == multiply(x, e)
+                   else {"x": str(x)}),
+            _check("orthogonal-idempotents-n%d-r%d" % (nn, rr),
+                   itertools.product(diag, repeat=2),
+                   lambda p: None if multiply(*p) == (p[0] if p[0] is p[1] else zero)
+                   else {"left": str(p[0]), "right": str(p[1])},
+                   side=[None if sum(diag[1:], diag[0]) == e else {"sum": True}]),
         ]
-        ok = True
-        for i1, d1 in enumerate(diag):
-            for i2, d2 in enumerate(diag):
-                want = d1 if i1 == i2 else AlgebraElement.zero(nn, rr)
-                if multiply(d1, d2) != want:
-                    ok = False
-        total = diag[0]
-        for d in diag[1:]:
-            total = total + d
-        ok = ok and total == e
-        checks.append(_check("orthogonal-idempotents-n%d-r%d" % (nn, rr), ok, len(diag) ** 2))
     return checks
 
 
@@ -259,94 +272,85 @@ def _packed(p, q):
     return Laurent.gen(_PACK * p + q)
 
 
-def suite_hom_laws(n=2, r=2, window=1, seed=20240603, samples=40, **_):
-    rng = random.Random(seed)
-    idxs = basis_indices(n, r, window)
-    sample = [rng.choice(idxs) for _ in range(samples)]
-    checks = []
-
-    concrete_pairs = [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(5)),
-                      (Fraction(-2), Fraction(2, 3))]
-    bad = None
-    count = 0
-    for s in range(-2, 3):
-        for s2 in range(-2, 3):
-            for idx in sample:
-                x = _basis_elem(n, r, idx)
-                lhs = _psi_two_var(x, s, s2)
-                rhs = _psi_substituted(x, s, s2)
-                count += 1
-                if lhs != rhs:
-                    bad = {"s": s, "s'": s2, "x": str(x)}
-                    break
-                for a0, a1 in concrete_pairs:
-                    lc = _psi_at(_psi_at(x, s2, a1), s, a0)
-                    rc = _psi_at(x, s * s2, a1 * a0 ** s2)
-                    count += 1
-                    if lc != rc:
-                        bad = {"s": s, "s'": s2, "a": str(a0), "a'": str(a1), "x": str(x)}
-                        break
-    checks.append(_check("psi-composition-law", bad is None, count, bad))
-
-    bad = None
-    count = 0
-    for _ in range(60):
-        x = _random_element(rng, n, r, window)
-        y = _random_element(rng, n, r, window)
-        count += 1
-        if psi_a(multiply(x, y)) != multiply(psi_a(x), psi_a(y)):
-            bad = {"x": str(x), "y": str(y)}
-            break
-        for s in (1, 2, -1):
-            if psi_as(multiply(x, y), s) != multiply(psi_as(x, s), psi_as(y, s)):
-                bad = {"s": s, "x": str(x), "y": str(y)}
-                break
-    checks.append(_check("psi-multiplicative", bad is None, count, bad))
-
-    bad = None
-    for idx in sample:
-        x = _basis_elem(n, r, idx)
-        if transpose_antiauto(transpose_antiauto(x)) != x:
-            bad = {"x": str(x)}
-            break
-    for _ in range(40):
-        x = _random_element(rng, n, r, window)
-        y = _random_element(rng, n, r, window)
-        if transpose_antiauto(multiply(x, y)) != multiply(
-            transpose_antiauto(y), transpose_antiauto(x)
-        ):
-            bad = {"x": str(x), "y": str(y)}
-            break
-    ok_id = transpose_antiauto(identity(n, r)) == identity(n, r)
-    checks.append(_check("transpose-antiautomorphism", bad is None and ok_id, 80, bad))
-
-    bad = None
-    syms = [WeylSymmetry.rho(n)] + [WeylSymmetry.s(n, i) for i in range(1, n + 1)]
-    for w in syms:
-        for _ in range(20):
-            x = _random_element(rng, n, r, window)
-            y = _random_element(rng, n, r, window)
-            if weyl_act(w, multiply(x, y)) != multiply(weyl_act(w, x), weyl_act(w, y)):
-                bad = {"window": w.window, "x": str(x), "y": str(y)}
-                break
-            if weyl_act(w, identity(n, r)) != identity(n, r):
-                bad = {"window": w.window, "id": True}
-                break
-    # rho^n is the identity map
-    for idx in sample:
-        x = _basis_elem(n, r, idx)
-        y = x
-        for _ in range(n):
-            y = weyl_act(WeylSymmetry.rho(n), y)
-        if y != x:
-            bad = {"rho^n": str(x)}
-            break
-    checks.append(_check("weyl-action-automorphisms", bad is None, len(syms) * 20, bad))
-    return checks
-
-
 def _psi_at(x, s, a0):
     return psi_as(x, s, height_scalar=lambda h: Laurent.const(Fraction(a0) ** h))
+
+
+def _psi_composition_failure(case):
+    """psi_s psi_s' = psi_ss': formally when ``at`` is None, else at (a, a')."""
+    s, s2, x, at = case
+    if at is None:
+        if _psi_two_var(x, s, s2) == _psi_substituted(x, s, s2):
+            return None
+        return {"s": s, "s'": s2, "x": str(x)}
+    a0, a1 = at
+    if _psi_at(_psi_at(x, s2, a1), s, a0) == _psi_at(x, s * s2, a1 * a0 ** s2):
+        return None
+    return {"s": s, "s'": s2, "a": str(a0), "a'": str(a1), "x": str(x)}
+
+
+def _psi_multiplicative_failure(pair):
+    x, y = pair
+    xy = multiply(x, y)
+    if psi_a(xy) != multiply(psi_a(x), psi_a(y)):
+        return {"x": str(x), "y": str(y)}
+    for s in (1, 2, -1):
+        if psi_as(xy, s) != multiply(psi_as(x, s), psi_as(y, s)):
+            return {"s": s, "x": str(x), "y": str(y)}
+    return None
+
+
+def _transpose_failure(pair):
+    """T(T(x)) = x when ``y`` is None, else T(xy) = T(y) T(x)."""
+    x, y = pair
+    t = transpose_antiauto
+    if y is None:
+        return None if t(t(x)) == x else {"x": str(x)}
+    if t(multiply(x, y)) == multiply(t(y), t(x)):
+        return None
+    return {"x": str(x), "y": str(y)}
+
+
+def _weyl_hom_failure(case):
+    w, x, y = case
+    if weyl_act(w, multiply(x, y)) == multiply(weyl_act(w, x), weyl_act(w, y)):
+        return None
+    return {"window": w.window, "x": str(x), "y": str(y)}
+
+
+def suite_hom_laws(n=2, r=2, window=1, seed=20240603, samples=40):
+    rng = random.Random(seed)
+    idxs = basis_indices(n, r, window)
+    sample = [_basis_elem(n, r, rng.choice(idxs)) for _ in range(samples)]
+    e, syms = identity(n, r), _symmetries(n)
+
+    def rho_n_failure(x):  # rho^n is the identity map
+        y = x
+        for _ in range(n):
+            y = weyl_act(syms[0], y)
+        return None if y == x else {"rho^n": str(x)}
+
+    at = (None, (Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(5)),
+          (Fraction(-2), Fraction(2, 3)))
+    return [
+        _check("psi-composition-law",
+               itertools.product(range(-2, 3), range(-2, 3), sample, at),
+               _psi_composition_failure),
+        _check("psi-multiplicative", _random_pairs(rng, 60, n, r, window),
+               _psi_multiplicative_failure),
+        _check("transpose-antiautomorphism",
+               itertools.chain(((x, None) for x in sample),
+                               _random_pairs(rng, 40, n, r, window)),
+               _transpose_failure,
+               side=[None if transpose_antiauto(e) == e else {"id": True}]),
+        _check("weyl-action-automorphisms",
+               ((w, x, y) for w in syms for x, y in _random_pairs(rng, 20, n, r, window)),
+               _weyl_hom_failure,
+               side=itertools.chain(
+                   (None if weyl_act(w, e) == e else {"window": w.window, "id": True}
+                    for w in syms),
+                   map(rho_n_failure, sample))),
+    ]
 
 
 # -- semigroup laws ---------------------------------------------------------------------
@@ -361,115 +365,83 @@ def _random_matrix(rng, n, max_entries=4, offset=1):
     return PeriodicMatrix(n, entries)
 
 
-def _random_sl_matrix(rng, n, a0, factors=3):
-    """A product of elementary unipotents: affine determinant 1 at every a0."""
-    out = PeriodicMatrix.identity(n)
-    eye = PeriodicMatrix.identity(n)
-    for _ in range(factors):
-        u = rng.randint(1, n)
-        v = rng.randint(1, n)
-        while v == u:
-            v = rng.randint(1, n)
-        off = rng.randint(-1, 1)
-        c = Fraction(rng.randint(1, 3), rng.randint(1, 2)) * rng.choice((1, -1))
-        out = out * (eye + PeriodicMatrix.unit(n, u, v + n * off, c))
-    return out
+def _eta_composition_failure(case):
+    m, (s, s2), (a0, a1) = case
+    if eta_as_at(eta_as_at(m, s2, a1), s, a0) == eta_as_at(m, s * s2, a1 * a0 ** s2):
+        return None
+    return {"m": str(m), "s": s, "s'": s2}
 
 
-def suite_semigroup_laws(n=2, count=50, seed=20240604, **_):
+def _eta_transpose_failure(case):
+    m, s = case
+    rhs = eta_as(m.transpose(), s).terms.items()
+    rhs = PeriodicMatrix(m.n, {k: v.substitute_inverse() for k, v in rhs})
+    return None if eta_as(m, s).transpose() == rhs else {"m": str(m), "s": s}
+
+
+def _evaluate_failure(case):
+    g, h, r = case
+    if evaluate(g * h, r) == multiply(evaluate(g, r), evaluate(h, r)):
+        return None
+    return {"g": str(g), "h": str(h), "r": r}
+
+
+def _conjugation_failure(case):
+    m, w, w2 = case
+    if weyl_conjugate(w.compose(w2), m) == weyl_conjugate(w, weyl_conjugate(w2, m)):
+        return None
+    return {"m": str(m)}
+
+
+def suite_semigroup_laws(n=2, count=50, seed=20240604):
     rng = random.Random(seed)
-    checks = []
 
-    bad = None
-    done = 0
-    for _ in range(count):
-        m = _random_matrix(rng, n)
-        for s, s2 in [(-1, 1), (0, 2), (1, 1), (2, -1), (1, 0), (0, 0)]:
-            for a0, a1 in [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(-2))]:
-                done += 1
-                lhs = eta_as_at(eta_as_at(m, s2, a1), s, a0)
-                rhs = eta_as_at(m, s * s2, a1 * a0 ** s2)
-                if lhs != rhs:
-                    bad = {"m": str(m), "s": s, "s'": s2}
-                    break
-    checks.append(_check("eta-composition-law", bad is None, done, bad))
+    def matrices(k=count, max_entries=4):
+        return (_random_matrix(rng, n, max_entries) for _ in range(k))
 
-    bad = None
-    for _ in range(count):
-        m = _random_matrix(rng, n)
-        for s in (-1, 0, 1, 2):
-            lhs = eta_as(m, s).transpose()
-            rhs = PeriodicMatrix(
-                n,
-                {
-                    k: v.substitute_inverse()
-                    for k, v in eta_as(m.transpose(), s).terms.items()
-                },
-            )
-            if lhs != rhs:
-                bad = {"m": str(m), "s": s}
-                break
-    checks.append(_check("eta-transpose-law", bad is None, count * 4, bad))
+    def matrix_pairs(max_entries=4):  # zip draws the two of a pair one after the other
+        return zip(matrices(count, max_entries), matrices(count, max_entries))
 
-    bad = None
-    for _ in range(count):
-        m1, m2 = _random_matrix(rng, n), _random_matrix(rng, n)
-        if det_tilde(m1 * m2) != det_tilde(m1) * det_tilde(m2):
-            bad = {"g": str(m1), "h": str(m2)}
-            break
-    checks.append(_check("det-multiplicative", bad is None, count, bad))
-
-    bad = None
-    for _ in range(count):
-        m = _random_matrix(rng, n)
-        if det_tilde(m.transpose()).substitute_inverse() != det_tilde(m):
-            bad = {"m": str(m)}
-            break
-    checks.append(_check("det-transpose", bad is None, count, bad))
-
-    bad = None
-    done = 0
-    for _ in range(count):
-        m1, m2 = _random_matrix(rng, n, 3), _random_matrix(rng, n, 3)
-        for r in (1, 2):
-            done += 1
-            if evaluate(m1 * m2, r) != multiply(evaluate(m1, r), evaluate(m2, r)):
-                bad = {"g": str(m1), "h": str(m2), "r": r}
-                break
-    checks.append(_check("evaluate-multiplicative", bad is None, done, bad))
-
-    bad = None
-    for _ in range(count):
-        m = _random_matrix(rng, n, 3)
-        for r in (1, 2):
-            if evaluate(m.transpose(), r) != transpose_antiauto(evaluate(m, r)):
-                bad = {"m": str(m), "r": r}
-                break
-    checks.append(_check("evaluate-transpose-compatible", bad is None, count * 2, bad))
-
-    # conjugation by Weyl symmetries preserves membership and is an action
-    bad = None
-    syms = [WeylSymmetry.rho(n)] + [WeylSymmetry.s(n, i) for i in range(1, n + 1)]
-    for _ in range(20):
-        m = _random_matrix(rng, n)
-        for w in syms:
-            for w2 in syms:
-                lhs = weyl_conjugate(w.compose(w2), m)
-                rhs = weyl_conjugate(w, weyl_conjugate(w2, m))
-                if lhs != rhs:
-                    bad = {"m": str(m)}
-                    break
-        if membership(m, "GL-generic") != membership(
-            weyl_conjugate(syms[0], m), "GL-generic"
-        ):
-            bad = {"m": str(m), "membership": True}
-    checks.append(_check("weyl-conjugation-action", bad is None, 20 * len(syms) ** 2, bad))
-    return checks
+    ss = [(-1, 1), (0, 2), (1, 1), (2, -1), (1, 0), (0, 0)]
+    at = [(Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(-2))]
+    checks = [
+        _check("eta-composition-law",
+               ((m, s, a) for m in matrices() for s in ss for a in at),
+               _eta_composition_failure),
+        _check("eta-transpose-law", ((m, s) for m in matrices() for s in (-1, 0, 1, 2)),
+               _eta_transpose_failure),
+        _check("det-multiplicative", matrix_pairs(),
+               lambda p: None
+               if det_tilde(p[0] * p[1]) == det_tilde(p[0]) * det_tilde(p[1])
+               else {"g": str(p[0]), "h": str(p[1])}),
+        _check("det-transpose", matrices(),
+               lambda m: None
+               if det_tilde(m.transpose()).substitute_inverse() == det_tilde(m)
+               else {"m": str(m)}),
+        _check("evaluate-multiplicative",
+               ((g, h, r) for g, h in matrix_pairs(3) for r in (1, 2)),
+               _evaluate_failure),
+        _check("evaluate-transpose-compatible",
+               ((m, r) for m in matrices(count, 3) for r in (1, 2)),
+               lambda c: None
+               if evaluate(c[0].transpose(), c[1]) == transpose_antiauto(evaluate(*c))
+               else {"m": str(c[0]), "r": c[1]}),
+    ]
+    # conjugation by Weyl symmetries is an action and preserves membership;
+    # these are the suite's last draws, so drawing them at once keeps the order
+    ms, syms = list(matrices(20)), _symmetries(n)
+    return checks + [_check(
+        "weyl-conjugation-action", itertools.product(ms, syms, syms),
+        _conjugation_failure,
+        side=(None if membership(m, "GL-generic")
+              == membership(weyl_conjugate(syms[0], m), "GL-generic")
+              else {"m": str(m), "membership": True} for m in ms))]
 
 
 # -- mackey / appendix suites ----------------------------------------------------------
 
-def suite_mackey(r=3, n=2, seed=20240605, **_):
+def suite_mackey(r=3, n=2, seed=20240605):
+    # imported here: no other CLI command needs the transfer calculus
     from .transfer import (
         OperatorSum,
         affine_mackey_window,
@@ -487,99 +459,74 @@ def suite_mackey(r=3, n=2, seed=20240605, **_):
     )
 
     rng = random.Random(seed)
-    checks = []
     S = all_perms(r)
     triv = [S[0]]
     young_a = list(young_subgroup(tuple([tuple(range(1, r))] + [(r,)])))
     young_b = list(young_subgroup(tuple([(1,)] + [tuple(range(2, r + 1))])))
 
-    def rand_inv(H):
-        base = OperatorSum(
-            {
-                (
-                    tuple(rng.randint(1, r) for _ in range(r)),
-                    tuple(rng.randint(1, r) for _ in range(r)),
-                ): rng.randint(1, 3)
-            }
-        )
+    def to_S(a, H):
+        return transfer(a, H, S, tuple_action)
+
+    def rand_tuple():
+        return tuple(rng.randint(1, r) for _ in range(r))
+
+    def symmetrized(op, H):
         out = OperatorSum.zero()
         for g in H:
-            out = out + base.translate(g, tuple_action)
+            out = out + op.translate(g, tuple_action)
         return out
 
-    bad = None
-    count = 0
-    for _ in range(40):
-        a = rand_inv(young_a)
-        b = rand_inv(young_b)
-        expected = transfer(a, young_a, S, tuple_action) * transfer(
-            b, young_b, S, tuple_action
-        )
-        try:
-            coset_sum = mackey_product(a, young_a, b, young_b, S, tuple_action)
-        except ValueError:
-            continue
-        except AssertionError:
-            bad = {"a": str(a), "b": str(b)}
-            break
-        count += 1
-        if coset_sum != expected:
-            bad = {"a": str(a), "b": str(b)}
-            break
-    checks.append(_check("mackey-symmetric-group", bad is None, count, bad))
+    def rand_inv(H):
+        seed_op = OperatorSum({(rand_tuple(), rand_tuple()): rng.randint(1, 3)})
+        return symmetrized(seed_op, H)
 
-    bad = None
-    count = 0
-    for _ in range(40):
-        a0 = OperatorSum.unit(
-            tuple(rng.randint(1, r) for _ in range(r)),
-            tuple(rng.randint(1, r) for _ in range(r)),
-        )
+    def coset_sums():
+        # a pair outside the hypotheses of mackey_product is not a case
+        for _ in range(40):
+            a, b = rand_inv(young_a), rand_inv(young_b)
+            try:
+                coset_sum = mackey_product(a, young_a, b, young_b, S, tuple_action)
+            except ValueError:
+                continue
+            except AssertionError:  # its own comparison failed
+                coset_sum = None
+            yield a, b, coset_sum
+
+    def mackey_failure(case):
+        a, b, coset_sum = case
+        if coset_sum is not None and coset_sum == to_S(a, young_a) * to_S(b, young_b):
+            return None
+        return {"a": str(a), "b": str(b)}
+
+    def transitivity_failure(a0):
         mid = transfer(a0, triv, young_a, tuple_action)
-        count += 1
-        if transfer(mid, young_a, S, tuple_action) != transfer(a0, triv, S, tuple_action):
-            bad = {"a": str(a0)}
-            break
-    checks.append(_check("transfer-transitivity", bad is None, count, bad))
+        return None if to_S(mid, young_a) == to_S(a0, triv) else {"a": str(a0)}
 
-    # move: T(ab) = T(a) b for b invariant under the big group
-    bad = None
-    count = 0
-    for _ in range(40):
-        a = rand_inv(young_a)
-        seedop = OperatorSum.unit(
-            tuple(rng.randint(1, r) for _ in range(r)),
-            tuple(rng.randint(1, r) for _ in range(r)),
-        )
-        b = OperatorSum.zero()
-        for g in S:
-            b = b + seedop.translate(g, tuple_action)
-        ab = a * b
-        if not is_invariant(ab, young_a, tuple_action):
-            continue
-        count += 1
-        if transfer(ab, young_a, S, tuple_action) != transfer(a, young_a, S, tuple_action) * b:
-            bad = {"a": str(a), "b": str(b)}
-            break
-    checks.append(_check("transfer-move", bad is None, count, bad))
+    def move_cases():
+        # move: T(ab) = T(a) b for b invariant under the big group
+        for _ in range(40):
+            a = rand_inv(young_a)
+            b = symmetrized(OperatorSum.unit(rand_tuple(), rand_tuple()), S)
+            if is_invariant(a * b, young_a, tuple_action):
+                yield a, b
 
-    # compare: decomposition of a transfer over double cosets
-    bad = None
-    count = 0
-    for _ in range(40):
-        a = rand_inv(young_a)
-        lhs = transfer(a, young_a, S, tuple_action)
+    def move_failure(case):
+        a, b = case
+        if to_S(a * b, young_a) == to_S(a, young_a) * b:
+            return None
+        return {"a": str(a), "b": str(b)}
+
+    young_b_set = set(young_b)
+
+    def compare_failure(a):
+        # compare: decomposition of a transfer over the double cosets H1 w H2
         rhs = OperatorSum.zero()
-        # w runs over H1\G/H2, i.e. cosets H1 w H2
         for w in double_coset_reps(young_b, S, young_a, perm_mul):
             h1w = conjugate_subgroup(young_a, w, perm_mul, perm_inv)
-            inter = [g for g in h1w if g in set(young_b)]
-            rhs = rhs + transfer(a.translate(w, tuple_action), inter, young_b, tuple_action)
-        count += 1
-        if lhs != rhs:
-            bad = {"a": str(a)}
-            break
-    checks.append(_check("transfer-compare", bad is None, count, bad))
+            inter = [g for g in h1w if g in young_b_set]
+            a_w = a.translate(w, tuple_action)
+            rhs = rhs + transfer(a_w, inter, young_b, tuple_action)
+        return None if to_S(a, young_a) == rhs else {"a": str(a)}
 
     # windowed extended-affine instances at r=2, over several stabilizer shapes:
     # equal middles, repeated entries, and tuples like (1,3) whose stabilizer
@@ -591,60 +538,53 @@ def suite_mackey(r=3, n=2, seed=20240605, **_):
         ((1, 3), (1, 3), (2, 2)),
         ((2, 2), (1, 3), (1, 1)),
     ]
-    bad = None
-    count = 0
-    for (i, j, l) in configs:
+
+    def window_mackey(i, j, l):
+        lhs, rhs = affine_mackey_window(
+            OperatorSum.unit(i, j), affine_stabilizer([i, j], n, 2),
+            OperatorSum.unit(j, l), affine_stabilizer([j, l], n, 2), n, window)
+        if lhs == rhs and not lhs.is_zero():
+            return None
+        return {"i": i, "j": j, "l": l, "lhs": str(lhs), "rhs": str(rhs)}
+
+    def window_transitivity(i, j, l):
         a = OperatorSum.unit(i, j)
-        b = OperatorSum.unit(j, l)
-        h1 = affine_stabilizer([i, j], n, 2)
-        h2 = affine_stabilizer([j, l], n, 2)
-        lhs, rhs = affine_mackey_window(a, h1, b, h2, n, window)
-        count += 1
-        if lhs != rhs or lhs.is_zero():
-            bad = {"i": i, "j": j, "l": l, "lhs": str(lhs), "rhs": str(rhs)}
-            break
-        hj = affine_stabilizer([j], n, 2)
+        h1, hj = affine_stabilizer([i, j], n, 2), affine_stabilizer([j], n, 2)
         mid = transfer(a, h1, hj, make_affine_action(n), lambda x, y: x.compose(y))
         t1 = affine_transfer_window(mid, hj, n, window)
-        t2 = affine_transfer_window(a, h1, n, window)
-        count += 1
-        if t1 != t2 or t1.is_zero():
-            bad = {"i": i, "j": j, "transitivity": True}
-            break
-    checks.append(_check("mackey-affine-window", bad is None, count, bad))
+        if t1 == affine_transfer_window(a, h1, n, window) and not t1.is_zero():
+            return None
+        return {"i": i, "j": j, "transitivity": True}
 
-    # duality reverses composition on explicit windows
-    checks.append(_sharp_compose_checks(n))
-    return checks
+    return [
+        _check("mackey-symmetric-group", coset_sums(), mackey_failure),
+        _check("transfer-transitivity",
+               (OperatorSum.unit(rand_tuple(), rand_tuple()) for _ in range(40)),
+               transitivity_failure),
+        _check("transfer-move", move_cases(), move_failure),
+        _check("transfer-compare", (rand_inv(young_a) for _ in range(40)),
+               compare_failure),
+        _check("mackey-affine-window",
+               itertools.product(configs, (window_mackey, window_transitivity)),
+               lambda c: c[1](*c[0])),
+        # duality reverses composition on explicit windows
+        _check("sharp-reverses-composition", _sharp_compose_cases(n), _holds),
+    ]
 
 
-def _sharp_compose_checks(n):
-    from .dual import (
-        RowFiniteMap,
-        compose_maps,
-        det_multiplication_map,
-        phi_as_map,
-        sharp_compose_check,
-    )
-
+def _sharp_compose_cases(n):
     r = 1
     win_r = basis_indices(n, r, 1)
     win_mid = basis_indices(n, r, 2)
     win_out = basis_indices(n, r + n, 3)
     f = phi_as_map(n, 1)
     g = det_multiplication_map(n, r, 3)
-    ok = sharp_compose_check(f, g, win_r, win_mid, win_out)
-
     # the coalgebra-side square behind the transfer compatibility: multiplying
     # by the affine determinant intertwines the offset-rescaling maps
     det_1 = det_multiplication_map(n, r, 3, height_scalar=lambda h: Laurent.one())
-    lhs_sq = compose_maps(g, f, win_r, win_out, win_mid)
-    rhs_sq = compose_maps(f, det_1, win_r, win_out, win_out)
-    ok_square = lhs_sq == rhs_sq
 
     # identity map and random sparse row-finite maps on a ten-label window
     ident = RowFiniteMap(lambda idx: [(idx, Laurent.one())], name="id")
-    ok_id = sharp_compose_check(ident, ident, win_r[:10], win_r[:10], win_r[:10])
     rng = random.Random(7)
     small = win_r[:10]
     table_f = {
@@ -655,139 +595,122 @@ def _sharp_compose_checks(n):
     }
     f2 = RowFiniteMap(lambda idx: table_f.get(idx, []), name="sparse-f")
     g2 = RowFiniteMap(lambda idx: table_g.get(idx, []), name="sparse-g")
-    ok_rand = sharp_compose_check(f2, g2, small, small, small)
-    return _check(
-        "sharp-reverses-composition", ok and ok_square and ok_id and ok_rand, 4
-    )
+    return [
+        ("phi-det", lambda: sharp_compose_check(f, g, win_r, win_mid, win_out)),
+        ("det-square", lambda: compose_maps(g, f, win_r, win_out, win_mid)
+         == compose_maps(f, det_1, win_r, win_out, win_out)),
+        ("identity", lambda: sharp_compose_check(ident, ident, small, small, small)),
+        ("sparse", lambda: sharp_compose_check(f2, g2, small, small, small)),
+    ]
 
 
 # -- lie suite ----------------------------------------------------------------------------
 
-def suite_lie(offset=2, rmax=3, seed=20240606, **_):
+def _generator_cases(ts):
+    """(n, r, s, t) for n = 2, 3, r = 1, 2, s = 1..n and t in ts(n, s)."""
+    return ((n, r, s, t) for n in (2, 3) for r in (1, 2)
+            for s in range(1, n + 1) for t in ts(n, s))
+
+
+def _det_transfer_failure(case):
+    n, r, s, t = case
+    gen = LoopGenerator(n, s, t)
+    if det_tilde_sharp(pi_tilde(gen, n + r)) == pi_tilde(gen, r):
+        return None
+    return {"n": n, "r": r, "s": s, "t": t}
+
+
+def _collapse_failure(case):
+    """psi_a(pi(E_st)) = pi(eta_a(E_st))."""
+    n, r, s, t = case
+    gen = LoopGenerator(n, s, t)
+    if psi_a(pi_tilde(gen, r)) == pi_tilde_matrix(eta_as(gen.matrix(), 0), r):
+        return None
+    return {"n": n, "s": s, "t": t, "r": r}
+
+
+def _centralize_failure(case):
+    n, s, t, v, w = case
+    x = pi_tilde(LoopGenerator(n, s, t), 2)
+    if weyl_right_act(act(x, v), w, n) == act(x, weyl_right_act(v, w, n)):
+        return None
+    return {"n": n, "s": s, "t": t}
+
+
+def suite_lie(offset=2, rmax=3, seed=20240606):
     rng = random.Random(seed)
     checks = []
     for n in (2, 3):
-        gens = [
-            LoopGenerator(n, s, res + n * e)
-            for s in range(1, n + 1)
-            for res in range(1, n + 1)
-            for e in range(-offset, offset + 1)
+        rows, offsets = range(1, n + 1), range(-offset, offset + 1)
+        gens = [LoopGenerator(n, s, res + n * e)
+                for s, res, e in itertools.product(rows, rows, offsets)]
+        checks += [
+            _check("bracket-n%d-r%d" % (n, r), itertools.product(gens, repeat=2),
+                   lambda p: None if lie_bracket_check(p[0], p[1], r)
+                   else {"g1": repr(p[0]), "g2": repr(p[1]), "r": r})
+            for r in range(1, rmax + 1)
         ]
-        for r in range(1, rmax + 1):
-            bad = None
-            count = 0
-            for g1 in gens:
-                for g2 in gens:
-                    count += 1
-                    if not lie_bracket_check(g1, g2, r):
-                        bad = {"g1": repr(g1), "g2": repr(g2), "r": r}
-                        break
-                if bad:
-                    break
-            checks.append(_check("bracket-n%d-r%d" % (n, r), bad is None, count, bad))
-
-    # transfer compatibility on the row +- 1 generators
-    bad = None
-    count = 0
-    for n in (2, 3):
-        for r in (1, 2):
-            for s in range(1, n + 1):
-                for t in (s + 1, s - 1):
-                    count += 1
-                    lhs = det_tilde_sharp(pi_tilde(LoopGenerator(n, s, t), n + r))
-                    rhs = pi_tilde(LoopGenerator(n, s, t), r)
-                    if lhs != rhs:
-                        bad = {"n": n, "r": r, "s": s, "t": t}
-                        break
-    checks.append(_check("det-transfer-of-generator-images", bad is None, count, bad))
-
-    # collapse compatibility: psi_a(pi(E_st)) = pi(eta_a(E_st))
-    from .semigroup import eta_as as _eta
-
-    bad = None
-    count = 0
-    for n in (2, 3):
-        for r in (1, 2):
-            for s in range(1, n + 1):
-                for t in range(s - 2 * n, s + 2 * n + 1):
-                    count += 1
-                    lhs = psi_a(pi_tilde(LoopGenerator(n, s, t), r))
-                    rhs = pi_tilde_matrix(_eta(LoopGenerator(n, s, t).matrix(), 0), r)
-                    if lhs != rhs:
-                        bad = {"n": n, "s": s, "t": t, "r": r}
-                        break
-    checks.append(_check("collapse-of-generator-images", bad is None, count, bad))
-
-    # images centralize the right action
-    bad = None
-    count = 0
-    for n in (2, 3):
-        r = 2
-        for s in range(1, n + 1):
-            for t in (s + 1, s - 1, s + n):
-                x = pi_tilde(LoopGenerator(n, s, t), r)
-                for _ in range(10):
-                    v = TensorVector.basis(
-                        n, tuple(rng.randint(-n, 2 * n) for _ in range(r))
-                    )
-                    w = AffineWeylElement(
-                        rng.choice(all_perms(r)),
-                        tuple(rng.randint(-1, 1) for _ in range(r)),
-                    )
-                    count += 1
-                    if weyl_right_act(act(x, v), w, n) != act(x, weyl_right_act(v, w, n)):
-                        bad = {"n": n, "s": s, "t": t}
-                        break
-    checks.append(_check("images-centralize-right-action", bad is None, count, bad))
-    return checks
+    r = 2  # images of degree two centralize the right action
+    return checks + [
+        # transfer compatibility on the row +- 1 generators
+        _check("det-transfer-of-generator-images",
+               _generator_cases(lambda n, s: (s + 1, s - 1)), _det_transfer_failure),
+        _check("collapse-of-generator-images",
+               _generator_cases(lambda n, s: range(s - 2 * n, s + 2 * n + 1)),
+               _collapse_failure),
+        _check("images-centralize-right-action",
+               ((n, s, t,
+                 TensorVector.basis(n, tuple(rng.randint(-n, 2 * n) for _ in range(r))),
+                 AffineWeylElement(rng.choice(all_perms(r)),
+                                   tuple(rng.randint(-1, 1) for _ in range(r))))
+                for n in (2, 3) for s in range(1, n + 1)
+                for t in (s + 1, s - 1, s + n) for _ in range(10)),
+               _centralize_failure),
+    ]
 
 
 # -- generators suite ----------------------------------------------------------------------
 
-def suite_generators(window=1, nmax=3, rmax=3, **_):
-    checks = []
-    for n in range(1, nmax + 1):
-        for r in range(1, rmax + 1):
-            bad = None
-            count = 0
-            for idx in basis_indices(n, r, window):
-                count += 1
-                try:
-                    decompose_y(idx, n)
-                except Exception as ex:  # re-multiplication failure is a check failure
-                    bad = {"index": str(idx), "error": str(ex)}
-                    break
-            checks.append(
-                _check("y-decomposition-n%d-r%d" % (n, r), bad is None, count, bad)
-            )
-    for n, r in [(2, 1), (3, 1), (3, 2)]:
-        bad = None
-        count = 0
-        for idx in basis_indices(n, r, window):
-            count += 1
-            try:
-                decompose_x(idx, n)
-            except Exception as ex:
-                bad = {"index": str(idx), "error": str(ex)}
-                break
-        checks.append(_check("x-decomposition-n%d-r%d" % (n, r), bad is None, count, bad))
+def _decomposition_failure(decompose, idx, n):
+    try:
+        decompose(idx, n)
+    except Exception as ex:  # re-multiplication failure is a check failure
+        return {"index": str(idx), "error": str(ex)}
+    return None
 
+
+def suite_generators(window=1, nmax=3, rmax=3):
+    y_grid = itertools.product(range(1, nmax + 1), range(1, rmax + 1))
+    grids = [(decompose_y, "y", y_grid),
+             (decompose_x, "x", [(2, 1), (3, 1), (3, 2)])]
+    checks = [
+        _check("%s-decomposition-n%d-r%d" % (name, n, r), basis_indices(n, r, window),
+               lambda idx: _decomposition_failure(decompose, idx, n))
+        for decompose, name, grid in grids
+        for n, r in grid
+    ]
     # Y contains the row +- 1 generators; counting for the finite slice
     n, r = 3, 2
-    y_labels = {tuple(e.terms)[0] for e in generator_set("Y", n, r, window=1)}
-    x_labels = {tuple(e.terms)[0] for e in generator_set("X", n, r)}
-    ok = x_labels <= y_labels
-    from .weyl import weakly_increasing_tuples
+    x_labels = [tuple(e.terms)[0] for e in generator_set("X", n, r)]
+    families = [
+        ("X-in-Y", lambda: set(x_labels)
+         <= {tuple(e.terms)[0] for e in generator_set("Y", n, r, window=1)}),
+        ("row-plus-one-count",
+         lambda: sum(any(b == t + 1 for t, b in lab) for lab in x_labels)
+         == len(weakly_increasing_tuples(n, r - 1)) * n),
+    ]
+    return checks + [_check("generator-families", families, _holds)]
 
-    expected = len(weakly_increasing_tuples(n, r - 1)) * n
-    x1_count = sum(
-        1
-        for e in generator_set("X", n, r)
-        for lab in [tuple(e.terms)[0]]
-        if any(b == t + 1 for t, b in lab)
-    )
-    checks.append(_check("generator-families", ok and x1_count == expected, 2))
-    return checks
+
+SUITES = {
+    "oracle-equivalence": suite_oracle_equivalence,
+    "ring-axioms": suite_ring_axioms,
+    "hom-laws": suite_hom_laws,
+    "semigroup-laws": suite_semigroup_laws,
+    "mackey": suite_mackey,
+    "lie": suite_lie,
+    "generators": suite_generators,
+}
 
 
 def format_report(report):

@@ -431,6 +431,33 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
         ),
         (["verify", "semigroup-laws", "--count", "-1"], "", "count must be at least 0, got -1\n"),
         (["verify", "lie", "--offset", "-1"], "", "offset must be at least 0, got -1\n"),
+        # a parameter the suite does not take, and n without r
+        (
+            ["verify", "lie", "--n", "5"],
+            "",
+            "suite lie takes no parameter n; it takes offset, rmax, seed\n",
+        ),
+        (
+            ["verify", "lie", "--window", "9"],
+            "",
+            "suite lie takes no parameter window; it takes offset, rmax, seed\n",
+        ),
+        (
+            ["verify", "oracle-equivalence", "--n", "2"],
+            "",
+            "n and r must be given together\n",
+        ),
+        (
+            ["verify", "generators", "--seed", "3"],
+            "",
+            "suite generators takes no parameter seed; it takes window, nmax, rmax\n",
+        ),
+        # the witness search runs out although a witness exists (a search defect)
+        (
+            ["witness", "--n", "2", "--poly", "-"],
+            '[{"pairs":[[1,1],[2,4]],"coeff":"1"},{"pairs":[[1,3],[2,2]],"coeff":"-1"}]',
+            "witness search exhausted after 1044 trials\n",
+        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):

@@ -215,6 +215,14 @@ def test_witness_rejects_zero():
         nonvanishing_witness([(((1, 0),), 1), (((1, 0),), Fraction(-1))], 1)
 
 
+def test_witness_search_budget_raises_value_error():
+    # a witness exists (test_witness_examples), but the all-ones first trial
+    # makes a_11 - a_12 vanish
+    poly = [(((1, 1),), Fraction(1)), (((1, 2),), Fraction(-1))]
+    with pytest.raises(ValueError, match=r"^witness search exhausted after 1 trials$"):
+        nonvanishing_witness(poly, 1, max_tries=1)
+
+
 def test_coord_value():
     g = PeriodicMatrix(2, {(1, 2): 3, (2, 2): 5})
     assert coord_value(((1, 2), (2, 2)), g) == Laurent.const(15)

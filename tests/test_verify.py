@@ -1,0 +1,81 @@
+import subprocess
+import sys
+
+import pytest
+
+from affine_schur.verify import SUITES, _check, run_suite
+
+
+def test_check_stops_at_the_first_counterexample():
+    seen = []
+
+    def failure(case):
+        seen.append(case)
+        return {"case": case} if case == 3 else None
+
+    side = iter([{"side": True}])
+    report = _check("toy", range(10), failure, side=side)
+    assert report == {"name": "toy", "passed": False, "count": 4, "detail": {"case": 3}}
+    assert seen == [0, 1, 2, 3]
+    assert next(side) == {"side": True}  # not read once a case has failed
+
+
+def test_check_counts_every_passing_case_then_reads_the_side_conditions():
+    assert _check("toy", range(10), lambda case: None) == {
+        "name": "toy", "passed": True, "count": 10}
+    assert _check("toy", [], lambda case: {"case": case}) == {
+        "name": "toy", "passed": True, "count": 0}
+    side = [None, {"id": 1}, {"id": 2}]
+    assert _check("toy", range(3), lambda case: None, side=side) == {
+        "name": "toy", "passed": False, "count": 3, "detail": {"id": 1}}
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("lie", {"n": 5}, "suite lie takes no parameter n; it takes offset, rmax, seed"),
+        ("mackey", {"window": 1, "budget": 2},
+         "suite mackey takes no parameter budget, window; it takes r, n, seed"),
+        ("oracle-equivalence", {"n": 2}, "n and r must be given together"),
+        ("ring-axioms", {"r": 2}, "n and r must be given together"),
+    ],
+)
+def test_run_suite_rejects_parameters_the_suite_does_not_take(name, params, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        run_suite(name, **params)
+
+
+# Each suite on small parameters through the CLI, in one process.
+_SMALL_SUITES = """
+from affine_schur.cli import main
+
+for argv in (
+    ["oracle-equivalence", "--n", "1", "--r", "2", "--window", "1", "--budget", "30"],
+    ["ring-axioms", "--n", "2", "--r", "1", "--triples", "20"],
+    ["hom-laws", "--n", "1", "--r", "1", "--window", "0"],
+    ["semigroup-laws", "--n", "1", "--count", "5"],
+    ["mackey", "--r", "2", "--n", "1"],
+    ["lie", "--offset", "0"],
+    ["generators", "--window", "0"],
+):
+    if main(["verify", *argv, "--json"]) != 0:
+        raise SystemExit(1)
+"""
+
+
+def test_verify_reports_are_identical_under_optimize():
+    # -O strips assert statements; no suite may depend on one for its result
+    out = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", _SMALL_SUITES],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [proc.returncode for proc in out] == [0, 0], out[0].stderr
+    assert out[0].stdout == out[1].stdout
+    assert [line.split(', "checks"')[0] for line in out[0].stdout.splitlines()] == [
+        '{"suite": "%s", "passed": true' % name for name in SUITES
+    ]
