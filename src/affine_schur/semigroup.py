@@ -12,6 +12,7 @@ pick up powers of the parameter and are stored with Laurent entries.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from .combination import Combination, accumulate, checked_int, read
@@ -241,56 +242,26 @@ def evaluate_combination(poly, g):
     return total
 
 
-def _small_rationals():
-    yield Fraction(1)
-    yield Fraction(-1)
-    yield Fraction(2)
-    yield Fraction(1, 2)
-    yield Fraction(-2)
-    yield Fraction(3)
-    yield Fraction(1, 3)
-    yield Fraction(-1, 2)
-    yield Fraction(2, 3)
-    yield Fraction(5)
-
-
-def _base_matrices(n, special):
-    """Deterministic stream of invertible finite matrices (det 1 if special)."""
-    from .laurent import Laurent as L
-
-    eye = PeriodicMatrix.identity(n)
-    yield eye
-    offs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-    for c in (1, -1, 2, -2, Fraction(1, 2)):
-        for (u, v) in offs:
-            yield eye + PeriodicMatrix.unit(n, u, v, c)
-    for (u, v) in offs:
-        for (p, q) in offs:
-            for c in (1, -1):
-                yield (eye + PeriodicMatrix.unit(n, u, v, c)) * (
-                    eye + PeriodicMatrix.unit(n, p, q, 1)
-                )
-    if not special:
-        # diagonal rescalings and permutation matrices
-        for c in (2, Fraction(1, 2), -1, 3):
-            for u in range(1, n + 1):
-                m = dict(eye.terms)
-                m[(u, u)] = L.const(c)
-                yield PeriodicMatrix(n, m)
-        for sigma in all_perms(n):
-            yield PeriodicMatrix(n, {(i, sigma[i - 1]): 1 for i in range(1, n + 1)})
-
-
-def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=200000):
+def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=64):
     """A semigroup element at which a nonzero coordinate combination is nonzero.
 
     ``poly`` is a list of (canonical label, rational coefficient) pairs, all of
-    one degree.  Follows the constructive proof: pick the offset support of the
-    terms, spread block-scaled copies of a finite invertible matrix over those
-    offsets, and search deterministically over small block scalars, verifying
-    by direct evaluation.  With ``special`` the witness is normalized to have
-    affine determinant one at ``a0``.  After ``max_tries`` candidates without
-    a witness it raises ``ValueError``.
+    one degree r.  Distinct labels are distinct monomials in independent
+    matrix entries, so the combination is a nonzero polynomial of degree r in
+    the entries it reads.  Each trial draws those entries from 1..2(r+n) off a
+    fixed random stream and sets every other diagonal entry to 1; the affine
+    determinant is then a nonzero polynomial of degree at most n in the drawn
+    entries (one choice of them gives the identity).  By Schwartz-Zippel a
+    trial fails with probability at most 1/2, so the default budget of 64
+    trials misses with probability at most 2^-64.
+
+    With ``special`` one more entry, at (1, 1 + n*L) with L past every offset
+    the labels use, is solved for: the determinant at ``a0`` is affine in it,
+    so two evaluations give the entry that makes it 1, and the combination
+    does not read it.  A zero slope is a root of the (1, 1) cofactor, which
+    the same bound covers, and moves on to the next trial.  Every witness is
+    verified by direct evaluation and a membership test.  After ``max_tries``
+    trials without one it raises ``ValueError``.
     """
     poly = accumulate((tuple(map(tuple, p)), Fraction(c)) for p, c in poly)
     poly = list(poly.items())
@@ -304,53 +275,24 @@ def nonvanishing_witness(poly, n, special=False, a0=Fraction(1), max_tries=20000
     if a0 == 0:
         raise ValueError("the specialization point a0 must be nonzero")
 
-    offsets = set()
-    for pairs, _ in poly:
-        for (i, j) in pairs:
-            col = bar(j, n)
-            offsets.add((j - col) // n)
-    offsets = sorted(offsets) or [0]  # degree 0: the finite matrix itself
-
-    candidates = (
-        (dict(zip(offsets, scalars)), base)
-        for scalars in _scalar_streams(len(offsets))
-        for base in _base_matrices(n, special)
-    )
-    tries = 0
-    for blocks, base in itertools.islice(candidates, max_tries):
-        tries += 1
-        g = _assemble(base, blocks, n)
+    support = sorted({ij for pairs, _ in poly for ij in pairs})
+    last = max(((j - bar(j, n)) // n for _, j in support), default=0)
+    free = PeriodicMatrix.unit(n, 1, 1 + n * max(1, last + 1))
+    mode = "SL-at" if special else "GL-generic"
+    rng = random.Random(0)  # a fixed stream makes every search repeatable
+    for _ in range(max_tries):
+        entries = {(i, i): 1 for i in range(1, n + 1)}
+        entries.update((ij, rng.randint(1, 2 * (r + n))) for ij in support)
+        g = PeriodicMatrix(n, entries)
         if special:
-            c = sum(s * a0 ** l for l, s in blocks.items())
-            if c == 0:
+            d0 = det_tilde(g).evaluate(a0)
+            slope = det_tilde(g + free).evaluate(a0) - d0
+            if slope == 0:
                 continue
-            g = g.scale(Fraction(1) / c)
+            g = g + free.scale((1 - d0) / slope)
         value = evaluate_combination(poly, g)
         if value.is_zero():
             continue
-        if special:
-            if not membership(g, "SL-at", a0):
-                continue
-        elif not membership(g, "GL-generic"):
-            continue
-        return g, value
-    raise ValueError("witness search exhausted after %d trials" % tries)
-
-
-def _scalar_streams(k):
-    """Deterministic tuples of nonzero small rationals, all-ones first."""
-    pool = list(_small_rationals())
-    yield (Fraction(1),) * k
-    seen = {(Fraction(1),) * k}
-    for combo in itertools.product(pool[:6], repeat=k):
-        if combo not in seen:
-            seen.add(combo)
-            yield combo
-
-
-def _assemble(base, blocks, n):
-    return PeriodicMatrix._from_items(base.context, (
-        ((i, j + n * off), v * Laurent.const(scalar))
-        for (i, j), v in base.terms.items()
-        for off, scalar in blocks.items()
-    ))
+        if membership(g, mode, a0):
+            return g, value
+    raise ValueError("witness search exhausted after %d trials" % max_tries)

@@ -148,8 +148,9 @@ def mackey_product(a, h1, b, h2, h3, action, mul=perm_mul, inv=perm_inv):
     """The double-coset sum for a product of transfers, verified on the spot.
 
     Computes the sum of T_{H1 meet H2^w, H3}(a b^w) over the double cosets
-    H2\\H3/H1 and asserts it equals T_{H1,H3}(a) T_{H2,H3}(b) before returning
-    it.  Hypothesis violations raise with the failing coset representative.
+    H2\\H3/H1 and checks that it equals T_{H1,H3}(a) T_{H2,H3}(b) before
+    returning it.  Hypothesis violations raise ``ValueError`` with the failing
+    coset representative; a sum that disagrees raises ``ArithmeticError``.
     """
     if not is_invariant(a, h1, action):
         raise ValueError("left operator not H1-invariant")
@@ -171,7 +172,8 @@ def mackey_product(a, h1, b, h2, h3, action, mul=perm_mul, inv=perm_inv):
         if not is_invariant(term_arg, inter, action):
             raise ValueError("a*b^w not invariant under H1 meet H2^w at w=%r" % (w,))
         rhs = rhs + transfer(term_arg, inter, h3, action, mul)
-    assert lhs == rhs, "double-coset sum disagrees with the transfer product"
+    if lhs != rhs:
+        raise ArithmeticError("double-coset sum disagrees with the transfer product")
     return rhs
 
 

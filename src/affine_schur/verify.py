@@ -488,7 +488,7 @@ def suite_mackey(r=3, n=2, seed=20240605):
                 coset_sum = mackey_product(a, young_a, b, young_b, S, tuple_action)
             except ValueError:
                 continue
-            except AssertionError:  # its own comparison failed
+            except ArithmeticError:  # its own comparison failed
                 coset_sum = None
             yield a, b, coset_sum
 

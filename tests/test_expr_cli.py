@@ -452,12 +452,6 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             "",
             "suite generators takes no parameter seed; it takes window, nmax, rmax\n",
         ),
-        # the witness search runs out although a witness exists (a search defect)
-        (
-            ["witness", "--n", "2", "--poly", "-"],
-            '[{"pairs":[[1,1],[2,4]],"coeff":"1"},{"pairs":[[1,3],[2,2]],"coeff":"-1"}]',
-            "witness search exhausted after 1044 trials\n",
-        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):
@@ -474,11 +468,39 @@ def test_invalid_input_exits_one_under_optimize(argv):
     assert proc.stderr.startswith("error: " + path)
 
 
+@pytest.mark.parametrize(
+    "flags, entries",
+    [
+        ([], '[[1, 1, "7"], [1, 3, "7"], [2, 2, "1"], [2, 4, "5"]]'),
+        (
+            ["--special"],
+            '[[1, 1, "7"], [1, 3, "7"], [1, 5, "-83/6"], [2, 2, "1"], [2, 4, "5"]]',
+        ),
+    ],
+    ids=["plain", "special"],
+)
+def test_cli_witness_for_a_binomial_under_optimize(flags, entries):
+    # the two monomials have the same residues and offsets, so they cancel on
+    # every block-scaled finite matrix; a seeded random point separates them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "affine_schur.cli", "witness", "--n", "2",
+         "--poly", "-", *flags],
+        input='[{"pairs":[[1,1],[2,4]],"coeff":"1"},{"pairs":[[1,3],[2,2]],"coeff":"-1"}]',
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '{"n": 2, "entries": %s, "value": "28"}\n' % entries
+
+
 _LIBRARY_CHECKS = """
 from affine_schur.dual import phi_as_map
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import LoopGenerator, lie_bracket_check
-from affine_schur.weyl import AffineWeylElement
+from affine_schur.transfer import OperatorSum, mackey_product, tuple_action
+from affine_schur.weyl import AffineWeylElement, all_perms, young_subgroup
+
+unit = OperatorSum.unit((1, 1, 1), (1, 1, 1))
 
 for call in (
     lambda: phi_as_map(1, 0).apply(((1, 2),)),
@@ -488,11 +510,15 @@ for call in (
     lambda: AffineWeylElement((1, 1), (0,)),
     lambda: AffineWeylElement((2, 1), (0,)),
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
+    lambda: mackey_product(
+        unit, young_subgroup(((1, 2), (3,))), unit, young_subgroup(((1,), (2, 3))),
+        all_perms(3), tuple_action, inv=lambda g: g,
+    ),
 ):
     try:
         call()
-    except ValueError as ex:
-        print("ValueError:", ex)
+    except (ValueError, ArithmeticError) as ex:
+        print(type(ex).__name__ + ":", ex)
     else:
         print("returned")
 """
@@ -501,7 +527,8 @@ for call in (
 def test_library_checks_raise_under_optimize():
     # -O strips assert statements; without a raise, a zero offset multiplier
     # divides by zero, a negative power of a never returns and a
-    # non-permutation builds an affine Weyl element
+    # non-permutation builds an affine Weyl element, and a wrong Mackey sum
+    # is returned unchecked
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
         capture_output=True,
@@ -517,6 +544,7 @@ def test_library_checks_raise_under_optimize():
         "ValueError: sigma must be a permutation of 1..2, got (1, 1)",
         "ValueError: eps has 1 entries, sigma has 2",
         "ValueError: cannot compose ranks 1 and 2",
+        "ArithmeticError: double-coset sum disagrees with the transfer product",
     ]
 
 

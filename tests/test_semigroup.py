@@ -2,9 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from affine_schur.combination import accumulate
 from affine_schur.laurent import Laurent
-from affine_schur.schur import AlgebraElement, WeylSymmetry, multiply, transpose_antiauto
+from affine_schur.schur import (
+    AlgebraElement,
+    WeylSymmetry,
+    canonicalize,
+    multiply,
+    transpose_antiauto,
+)
 from affine_schur.homs import det_tilde_sharp
 from affine_schur.semigroup import (
     PeriodicMatrix,
@@ -187,23 +195,25 @@ def test_det_transfer_compatible_with_evaluation():
 
 
 def test_witness_examples():
+    # the seeded sampler draws entries from 1..2(r+n); these are its first points
     poly = [(((1, 3),), Fraction(1))]
     g, value = nonvanishing_witness(poly, 1)
-    assert not value.is_zero()
-    assert evaluate_combination(poly, g) == value
-    assert g == PeriodicMatrix.unit(1, 1, 3)
+    assert g == PeriodicMatrix(1, {(1, 1): 1, (1, 3): 4}) and value == Laurent.const(4)
 
+    # the first point (4, 4) is a root of a_11 - a_12; the second is not
     poly2 = [(((1, 1),), Fraction(1)), (((1, 2),), Fraction(-1))]
     g2, value2 = nonvanishing_witness(poly2, 1)
-    assert not value2.is_zero()
+    assert g2 == PeriodicMatrix(1, {(1, 1): 1, (1, 2): 3}) and value2 == Laurent.const(-2)
 
+    # 1 + 4a^2 + x a^3 at a = 2 is 1 for the solved entry x = -2
     g3, value3 = nonvanishing_witness(poly, 1, special=True, a0=Fraction(2))
-    assert membership(g3, "SL-at", 2)
-    assert not value3.is_zero()
+    assert g3 == PeriodicMatrix(1, {(1, 1): 1, (1, 3): 4, (1, 4): -2})
+    assert membership(g3, "SL-at", 2) and value3 == Laurent.const(4)
 
     # degree 0: the empty label is the constant coordinate
-    g4, value4 = nonvanishing_witness([((), Fraction(3))], 2)
-    assert g4 == PeriodicMatrix.identity(2) and value4 == Laurent.const(3)
+    for special in (False, True):
+        g4, value4 = nonvanishing_witness([((), Fraction(3))], 2, special=special)
+        assert g4 == PeriodicMatrix.identity(2) and value4 == Laurent.const(3)
 
 
 def test_witness_rejects_zero():
@@ -216,11 +226,50 @@ def test_witness_rejects_zero():
 
 
 def test_witness_search_budget_raises_value_error():
-    # a witness exists (test_witness_examples), but the all-ones first trial
-    # makes a_11 - a_12 vanish
+    # a witness exists (test_witness_examples), but the first seeded point is
+    # a root of a_11 - a_12
     poly = [(((1, 1),), Fraction(1)), (((1, 2),), Fraction(-1))]
     with pytest.raises(ValueError, match=r"^witness search exhausted after 1 trials$"):
         nonvanishing_witness(poly, 1, max_tries=1)
+    with pytest.raises(ValueError, match=r"^witness search exhausted after 0 trials$"):
+        nonvanishing_witness([(((1, 3),), Fraction(1))], 1, max_tries=0)
+
+
+@st.composite
+def _combinations(draw):
+    """A nonzero combination of canonical labels at n <= 3, r <= 3, offsets -1..1.
+
+    Half of them hold a binomial: a monomial minus the one with its offsets
+    permuted, so both have the same residues and the same offset content.
+    """
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-1, 1))
+
+    def label(cells, offsets):
+        bottoms = [col + n * off for (_, col, _), off in zip(cells, offsets)]
+        return canonicalize([top for top, _, _ in cells], bottoms, n)
+
+    terms = []
+    if draw(st.booleans()):
+        cells = draw(st.lists(cell, min_size=r, max_size=r))
+        offsets = [off for _, _, off in cells]
+        terms.append((label(cells, offsets), Fraction(1)))
+        terms.append((label(cells, draw(st.permutations(offsets))), Fraction(-1)))
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(st.lists(cell, min_size=r, max_size=r))
+        coeff = Fraction(draw(st.integers(-3, 3)))
+        terms.append((label(cells, [off for _, _, off in cells]), coeff))
+    assume(accumulate(terms))
+    return n, terms
+
+
+@given(_combinations(), st.sampled_from([None, Fraction(1), Fraction(2), Fraction(1, 2)]))
+def test_witness_is_always_found(case, a0):
+    n, poly = case
+    special = a0 is not None
+    g, value = nonvanishing_witness(poly, n, special=special, a0=a0 or 1)
+    assert not value.is_zero() and evaluate_combination(poly, g) == value
+    assert membership(g, "SL-at" if special else "GL-generic", a0)
 
 
 def test_coord_value():

@@ -64,6 +64,16 @@ def test_mackey_point_example():
     assert out.is_zero()
 
 
+def test_mackey_product_raises_when_its_own_check_fails():
+    # a wrong inverse conjugates H2 wrongly, so the coset sum is wrong; the
+    # mismatch must not pass for a hypothesis violation (ValueError)
+    S3 = all_perms(3)
+    a = OperatorSum.unit((1, 1, 1), (1, 1, 1))
+    H1, H2 = young_subgroup(((1, 2), (3,))), young_subgroup(((1,), (2, 3)))
+    with pytest.raises(ArithmeticError, match="^double-coset sum disagrees"):
+        mackey_product(a, H1, a, H2, S3, tuple_action, inv=lambda g: g)
+
+
 def _sym(base, H):
     out = OperatorSum.zero()
     for g in H:

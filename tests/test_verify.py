@@ -45,8 +45,12 @@ def test_run_suite_rejects_parameters_the_suite_does_not_take(name, params, mess
         run_suite(name, **params)
 
 
-# Each suite on small parameters through the CLI, in one process.
+# Each suite on small parameters through the CLI, in one process, then the
+# seeded witness search on the README example and a binomial at n = 2.
 _SMALL_SUITES = """
+import io
+import sys
+
 from affine_schur.cli import main
 
 for argv in (
@@ -60,11 +64,23 @@ for argv in (
 ):
     if main(["verify", *argv, "--json"]) != 0:
         raise SystemExit(1)
+
+binomial = '[{"pairs":[[1,1],[2,4]],"coeff":"1"},{"pairs":[[1,3],[2,2]],"coeff":"-1"}]'
+for poly, argv in (
+    ('[{"pairs":[[1,3]],"coeff":"1"}]', ["--n", "1"]),
+    (binomial, ["--n", "2"]),
+    (binomial, ["--n", "2", "--special"]),
+):
+    sys.stdin = io.StringIO(poly)
+    if main(["witness", "--poly", "-", *argv]) != 0:
+        raise SystemExit(1)
 """
 
 
 def test_verify_reports_are_identical_under_optimize():
-    # -O strips assert statements; no suite may depend on one for its result
+    # -O strips assert statements; no suite may depend on one for its result.
+    # Two plain runs (each with its own hash seed) and one under -O must agree
+    # byte for byte: a benchmark round fails when outputs differ between rounds.
     out = [
         subprocess.run(
             [sys.executable, *flags, "-c", _SMALL_SUITES],
@@ -72,10 +88,12 @@ def test_verify_reports_are_identical_under_optimize():
             text=True,
             timeout=120,
         )
-        for flags in ([], ["-O"])
+        for flags in ([], [], ["-O"])
     ]
-    assert [proc.returncode for proc in out] == [0, 0], out[0].stderr
-    assert out[0].stdout == out[1].stdout
-    assert [line.split(', "checks"')[0] for line in out[0].stdout.splitlines()] == [
+    assert [proc.returncode for proc in out] == [0, 0, 0], out[0].stderr
+    assert out[0].stdout == out[1].stdout == out[2].stdout
+    lines = out[0].stdout.splitlines()
+    assert [line.split(', "checks"')[0] for line in lines[:-3]] == [
         '{"suite": "%s", "passed": true' % name for name in SUITES
     ]
+    assert all('"value": "' in line for line in lines[-3:])
