@@ -12,8 +12,11 @@ double cosets H2\\G/H1 of the stabilizers G of j, H1 of (i, j, e) and H2 of
 (j, l, e').  Inside each block of G (the positions with one middle residue) a
 double coset is a non-negative integer matrix with fixed row and column sums
 (James-Kerber 1.3.10): rows are the left factor's (top, offset) types,
-columns the right factor's (bottom residue, offset) types.  Enumerating these
-tables never lists the group, so there is no rank cap; the brute-force
+columns the right factor's (bottom residue, offset) types.  The engine sums
+the tables' terms row type by row type, merging partial tables that agree on
+their remaining column capacities and their output multiset, and ends each
+coefficient with one exact division (a remainder raises ``ArithmeticError``).
+It never lists the group, so there is no rank cap; the brute-force
 ``weyl.double_cosets`` (capped at r = 8) is only a test oracle.
 """
 
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
 from .combination import Combination, checked_int, read
 from .laurent import Laurent
@@ -102,8 +106,11 @@ def structure_constants(x_pairs, y_pairs, n):
     The values are ``int``s, as ``Laurent`` coefficients are where integral,
     so ``bilinear`` scales by them without building a constant polynomial.
     ``multiply`` asks only for composable pairs; any other pair gives {}.
-    Computed by ``_green_product`` and memoized in-process.  When a persistent
-    cache is installed, a miss is written to it, and a record read from it is
+    Computed by ``_green_product`` and memoized in-process.  Its key order is
+    part of the result: ``looplie.decompose_y`` builds its trees in it, and a
+    persistent cache stores records in it.  Its final division is exact; a
+    remainder raises ``ArithmeticError``.  When a persistent cache is
+    installed, a miss is written to it, and a record read from it is
     re-derived the first time this process uses it; a mismatch raises
     ``CacheMismatchError`` before the record can reach any output.
     """
@@ -131,6 +138,20 @@ def _green_product(x_pairs, y_pairs, n):
 
     A table M of block c adds M[a][b] copies of (i_a, l_b + n*(eps_a +
     eps'_b)); its coefficient is prod(output multiplicity)! / prod M[a][b]!.
+
+    The tables are built row type by row type, and partial tables are merged
+    by their state: the remaining column capacities of the current block and
+    the output multiset, packed into one int with a base-(r+1) digit per
+    output pair.  A state's weight is the sum, over the partial tables that
+    reach it, of prod over rows of need! / prod M[a][b]!.  A label's
+    coefficient is then prod(output multiplicity)! * weight / prod need!,
+    one exact division; a remainder raises ``ArithmeticError``.
+
+    The keys come in the order in which a depth-first walk over the tables
+    (rows in turn, each row's spreads in ``_spreads`` order) first reaches
+    them: states are visited in insertion order, and the spreads of one row
+    are all of one total, so none is a prefix of another.
+    ``looplie.decompose_y`` builds its trees in this order.
     """
     i, (j, eps) = index_tops(x_pairs), split_offsets(x_pairs, n)
     k, (l, eps2) = index_tops(y_pairs), split_offsets(y_pairs, n)
@@ -142,46 +163,72 @@ def _green_product(x_pairs, y_pairs, n):
     for c, res, e in zip(k, l, eps2):
         cols[c][res, e] += 1
 
-    fact = [factorial(m) for m in range(len(x_pairs) + 1)]
-    # One entry per row type: its row sum, its block's column capacities
-    # (shared by the block's rows) and the output pair of each column.
-    plan = []
+    base = len(x_pairs) + 1
+    fact = [factorial(m) for m in range(base)]
+    place = {}  # output pair -> base ** its number, numbered as first seen
+    denom = 1
+    states = {((), 0): 1}  # (capacities left, packed outputs) -> weight
     for c, row_types in rows.items():
-        caps = list(cols[c].values())
+        caps = tuple(cols[c].values())
+        states = {(caps, packed): w for (_, packed), w in states.items()}
         for (top, e), need in row_types.items():
-            outs = [(top, res + n * (e + e2)) for res, e2 in cols[c]]
-            plan.append((need, caps, outs))
+            places = [
+                place.setdefault((top, res + n * (e + e2)), base ** len(place))
+                for res, e2 in cols[c]
+            ]
+            moves = {}
+            after = {}
+            for (left, packed), w in states.items():
+                step = moves.get(left)
+                if step is None:
+                    step = moves[left] = [
+                        (rest, sum(map(mul, counts, places)), ways)
+                        for rest, counts, ways in _spreads(need, left)
+                    ]
+                for rest, added, ways in step:
+                    key = rest, packed + added
+                    after[key] = after.get(key, 0) + w * ways
+            states = after
+            denom *= fact[need]
 
+    outputs = sorted(place.items())
     out = {}
-    counts = {}
-    chosen = []
+    for (_, packed), w in states.items():
+        label = []
+        for pair, value in outputs:
+            m = packed // value % base
+            if m:
+                label += (pair,) * m
+                w *= fact[m]
+        coeff, rem = divmod(w, denom)
+        if rem:
+            raise ArithmeticError(
+                "non-integral structure constant for %s * %s (n=%d)"
+                % (format_index(x_pairs), format_index(y_pairs), n)
+            )
+        out[tuple(label)] = coeff
+    return out
 
-    def fill(row, col, left, numer, denom):
-        """Spread `left` more of row `row` over columns col, col+1, ..."""
-        if not left:
-            row += 1
-            if row == len(plan):
-                idx = tuple(sorted(chosen))
-                out[idx] = out.get(idx, 0) + numer // denom
-                return
-            col, left = 0, plan[row][0]
-        _, caps, outs = plan[row]
-        for b in range(col, len(caps)):
-            cap = caps[b]
-            if not cap:
-                continue
-            pair = outs[b]
-            had = counts.get(pair, 0)
-            for m in range(1, min(left, cap) + 1):
-                caps[b] = cap - m
-                counts[pair] = had + m
-                chosen.extend([pair] * m)
-                fill(row, b + 1, left - m, numer * fact[had + m] // fact[had], denom * fact[m])
-                del chosen[-m:]
-            caps[b] = cap
-            counts[pair] = had
 
-    fill(-1, 0, 0, 1, 1)
+@lru_cache(maxsize=None)
+def _spreads(need, caps):
+    """Every way to spread a row sum `need` over columns with capacities `caps`.
+
+    A list of (capacities left, counts taken, need! / prod count!), ordered
+    by the list of (column, count) over the non-zero counts, compared
+    lexicographically: the order of a depth-first walk.
+    """
+    if not need:
+        return [(caps, (0,) * len(caps), 1)]
+    out = []
+    for b, cap in enumerate(caps):
+        for m in range(1, min(need, cap) + 1):
+            for rest, counts, ways in _spreads(need - m, caps[b + 1:]):
+                out.append((
+                    caps[:b] + (cap - m,) + rest,
+                    (0,) * b + (m,) + counts,
+                    comb(need, m) * ways,
+                ))
     return out
 
 

@@ -217,6 +217,35 @@ _PINNED_DECOMPOSITIONS = [
         '{"op": "scale", "coeff": "-1", "child": '
         '{"op": "atom", "pairs": [[1, 1], [2, 2], [3, 3]]}}]}}}]}}\n',
     ),
+    (
+        # The Green product of this label's first split lists its terms out of
+        # sorted order, and the tree follows that order: pinned, so that the
+        # key order of ``structure_constants`` cannot change unnoticed.
+        ("[(1,2,2,2)|(3,1,1,3)]", "2", "Y"),
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": [{"op": "scale", "coeff": "1/2", "child": '
+        '{"op": "add", "children": [{"op": "mul", "children": ['
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [2, 2], [2, 3]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [2, 1], [2, 2]]}]}]}}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [1, 1], [2, 1]]}]}]}}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [1, 1], [1, 3]]}]}, '
+        '{"op": "scale", "coeff": "-2", "child": '
+        '{"op": "scale", "coeff": "1", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": [{"op": "scale", "coeff": "1/2", "child": '
+        '{"op": "add", "children": [{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [2, 2], [2, 3]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [2, 2], [2, 3]]}]}]}}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [1, 1], [2, 1]]}]}]}}}, '
+        '{"op": "scale", "coeff": "-1", "child": '
+        '{"op": "scale", "coeff": "1/2", "child": {"op": "add", "children": ['
+        '{"op": "mul", "children": [{"op": "scale", "coeff": "1", "child": '
+        '{"op": "add", "children": [{"op": "mul", "children": ['
+        '{"op": "atom", "pairs": [[1, 1], [2, 2], [2, 2], [2, 5]]}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [2, 1], [2, 2]]}]}]}}, '
+        '{"op": "atom", "pairs": [[1, 1], [1, 1], [1, 1], [2, 1]]}]}]}}}]}}\n',
+    ),
 ]
 
 

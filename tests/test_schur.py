@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_schur import schur
 from affine_schur.dual import multiply_schur_oracle
 from affine_schur.homs import psi_a
 from affine_schur.laurent import Laurent
@@ -27,6 +31,7 @@ from affine_schur.weyl import (
     AffineWeylElement,
     all_perms,
     apply_perm,
+    bar,
     bar_tuple,
     double_cosets,
     equivalent_middle,
@@ -332,15 +337,15 @@ def _n1_label(offsets):
     return tuple(sorted((1, 1 + e) for e in offsets))
 
 
-@pytest.mark.parametrize(
-    "left,right",
-    [
-        ((-2, -2, 0, 0, 1, 2, -1), (1, 1, -1, -1, 0, 2, -2)),
-        ((1, 1, 1, 0, -1, 2, -2), (0, 0, 2, 2, -1, 1, -2)),
-        ((0, 0, 0, 1, 1, -1, 2), (1, 1, 1, 0, -1, 2, -2)),
-        ((0, 1, 2, 3, -1, -2, -3), (0, 0, 0, 0, 1, 1, 1)),
-    ],
-)
+_TYPED_R7 = [
+    ((-2, -2, 0, 0, 1, 2, -1), (1, 1, -1, -1, 0, 2, -2)),
+    ((1, 1, 1, 0, -1, 2, -2), (0, 0, 2, 2, -1, 1, -2)),
+    ((0, 0, 0, 1, 1, -1, 2), (1, 1, 1, 0, -1, 2, -2)),
+    ((0, 1, 2, 3, -1, -2, -3), (0, 0, 0, 0, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("left,right", _TYPED_R7)
 def test_product_matches_double_cosets_typed_r7(left, right):
     x, y = _n1_label(left), _n1_label(right)
     assert structure_constants(x, y, 1) == _double_coset_product(x, y, 1)
@@ -375,3 +380,154 @@ def test_large_rank_identity_and_psi_a(r):
     for _ in range(80):
         x, y = rng.choice(grid), rng.choice(grid)
         assert psi_a(multiply(x, y)) == multiply(psi_a(x), psi_a(y))
+
+
+# -- the table enumeration as a reference -----------------------------------------
+
+def _table_dfs_product(x_pairs, y_pairs, n):
+    """xi_x * xi_y by visiting every contingency table depth first, one
+    recursive call per node: the reference for both the values and the key
+    order of ``structure_constants``."""
+    i, (j, eps) = index_tops(x_pairs), split_offsets(x_pairs, n)
+    k, (l, eps2) = index_tops(y_pairs), split_offsets(y_pairs, n)
+    if sorted(j) != sorted(k):
+        return {}
+    rows, cols = defaultdict(Counter), defaultdict(Counter)
+    for c, top, e in zip(j, i, eps):
+        rows[c][top, e] += 1
+    for c, res, e in zip(k, l, eps2):
+        cols[c][res, e] += 1
+
+    fact = [factorial(m) for m in range(len(x_pairs) + 1)]
+    plan = []
+    for c, row_types in rows.items():
+        caps = list(cols[c].values())
+        for (top, e), need in row_types.items():
+            outs = [(top, res + n * (e + e2)) for res, e2 in cols[c]]
+            plan.append((need, caps, outs))
+
+    out = {}
+    counts = {}
+    chosen = []
+
+    def fill(row, col, left, numer, denom):
+        if not left:
+            row += 1
+            if row == len(plan):
+                idx = tuple(sorted(chosen))
+                out[idx] = out.get(idx, 0) + numer // denom
+                return
+            col, left = 0, plan[row][0]
+        _, caps, outs = plan[row]
+        for b in range(col, len(caps)):
+            cap = caps[b]
+            if not cap:
+                continue
+            pair = outs[b]
+            had = counts.get(pair, 0)
+            for m in range(1, min(left, cap) + 1):
+                caps[b] = cap - m
+                counts[pair] = had + m
+                chosen.extend([pair] * m)
+                fill(row, b + 1, left - m, numer * fact[had + m] // fact[had], denom * fact[m])
+                del chosen[-m:]
+            caps[b] = cap
+            counts[pair] = had
+
+    fill(-1, 0, 0, 1, 1)
+    return out
+
+
+def _bench_module(name):
+    """A module of the benchmark directory, loaded by path and never modified."""
+    path = Path(__file__).resolve().parents[1] / "bench" / ("%s.py" % name)
+    spec = importlib.util.spec_from_file_location("bench_%s" % name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_inputs = _bench_module("inputs")
+symfunc = _bench_module("symfunc")
+
+
+def _assert_matches_table_dfs(x, y, n):
+    got, want = structure_constants(x, y, n), _table_dfs_product(x, y, n)
+    assert got == want
+    assert list(got) == list(want), "same terms, different key order"
+
+
+def test_green_matches_table_dfs():
+    # the benchmark's products at seed 1: the n = 2, 3 grid (r = 4-7, window
+    # 1) and the typed and all-distinct n = 1, r = 7, 8 products
+    for n, _, x, y in bench_inputs.grid_pairs(1) + bench_inputs.heavy_pairs(1):
+        _assert_matches_table_dfs(x, y, n)
+    for left, right in _TYPED_R7:
+        _assert_matches_table_dfs(_n1_label(left), _n1_label(right), 1)
+
+
+def test_green_division_is_checked(monkeypatch):
+    # With m! replaced by m + 1 the table sum of xi[(1,1)|(1,1)] *
+    # xi[(1,1)|(1,2)] comes out as 8/3, which must raise, not floor to 2.
+    monkeypatch.setattr(schur, "factorial", lambda m: m + 1)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        schur._green_product(_n1_label((0, 0)), _n1_label((0, 1)), 1)
+
+
+# -- independent checks: n = 1 symmetric functions and orbit counts ---------------
+
+def test_green_matches_symmetric_functions_n1():
+    # S(1, r) is the ring of symmetric Laurent polynomials (bench/symfunc.py)
+    rng = random.Random("symfunc")
+    pairs = [(symfunc.label_of(range(-4, 5)),) * 2]  # all distinct, 26231 terms
+    for r in (8, 9, 10):
+        for _ in range(3):
+            left = [rng.randint(-1, 1) for _ in range(r)]
+            right = [rng.randint(-2, 2) for _ in range(r)]
+            pairs.append((symfunc.label_of(left), symfunc.label_of(right)))
+    for x, y in pairs:
+        assert structure_constants(x, y, 1) == symfunc.label_product(x, y)
+
+
+def _stabilizer_order(values):
+    return prod(factorial(m) for m in Counter(values).values())
+
+
+def _row_count(pairs):
+    """|Stab(tops) / Stab(pairs)|."""
+    return _stabilizer_order(index_tops(pairs)) // _stabilizer_order(pairs)
+
+
+def _column_count(pairs, n):
+    """|Stab(bottom residues) / Stab(pairs)|."""
+    residues = tuple(bar(b, n) for b in index_bottoms(pairs))
+    return _stabilizer_order(residues) // _stabilizer_order(pairs)
+
+
+@st.composite
+def composable_labels(draw):
+    """(n, x, y) with y's tops a rearrangement of x's bottom residues."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 8))
+    bottoms = st.lists(
+        st.builds(lambda res, e: res + n * e, st.integers(1, n), st.integers(-1, 1)),
+        min_size=r,
+        max_size=r,
+    )
+    x_tops = draw(st.lists(st.integers(1, n), min_size=r, max_size=r))
+    x_bottoms = draw(bottoms)
+    y_tops = draw(st.permutations([bar(b, n) for b in x_bottoms]))
+    x = canonicalize(tuple(x_tops), tuple(x_bottoms), n)
+    return n, x, canonicalize(tuple(y_tops), tuple(draw(bottoms)), n)
+
+
+@given(composable_labels())
+def test_green_preserves_orbit_counts(labels):
+    # sum_z c_z R(z) = R(x) R(y) and sum_z c_z C(z) = C(x) C(y)
+    n, x, y = labels
+    product = structure_constants(x, y, n)
+    assert product
+    assert sum(c * _row_count(z) for z, c in product.items()) == _row_count(x) * _row_count(y)
+    assert sum(c * _column_count(z, n) for z, c in product.items()) == (
+        _column_count(x, n) * _column_count(y, n)
+    )
