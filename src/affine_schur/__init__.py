@@ -7,83 +7,65 @@ algebras, periodic-matrix semigroups with evaluation maps, loop-algebra
 generator images with constructive decompositions, and the transfer-operator
 calculus underpinning the product formula.  All arithmetic is exact over the
 rationals with one formal parameter.
-"""
 
-from .laurent import Laurent
-from .schur import (
-    AlgebraElement,
-    WeylSymmetry,
-    canonicalize,
-    identity,
-    multiply,
-    transpose_antiauto,
-    weyl_act,
-)
-from .dual import delta_pair, multiply_schur_oracle, pair
-from .tensor import TensorVector, act, multiply_via_action, weyl_right_act
-from .homs import det_star, det_tilde_sharp, psi_a, psi_a0, psi_as
-from .semigroup import (
-    PeriodicMatrix,
-    det_tilde,
-    eta_a,
-    eta_as,
-    evaluate,
-    membership,
-    nonvanishing_witness,
-    weyl_conjugate,
-)
-from .looplie import LoopGenerator, decompose_x, decompose_y, generator_set, pi_tilde
-from .weyl import (
-    AffineWeylElement,
-    affine_matchings,
-    double_cosets,
-    equivalent_middle,
-    meet,
-    stabilizer,
-    young_order,
-)
+Importing the package loads none of its modules: each public name imports
+its defining module on first use (PEP 562), so a caller pays only for the
+engines it reaches.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineWeylElement",
-    "AlgebraElement",
-    "Laurent",
-    "LoopGenerator",
-    "PeriodicMatrix",
-    "TensorVector",
-    "WeylSymmetry",
-    "act",
-    "affine_matchings",
-    "canonicalize",
-    "decompose_x",
-    "decompose_y",
-    "delta_pair",
-    "det_star",
-    "det_tilde",
-    "det_tilde_sharp",
-    "double_cosets",
-    "equivalent_middle",
-    "eta_a",
-    "eta_as",
-    "evaluate",
-    "generator_set",
-    "identity",
-    "meet",
-    "membership",
-    "multiply",
-    "multiply_schur_oracle",
-    "multiply_via_action",
-    "nonvanishing_witness",
-    "pair",
-    "pi_tilde",
-    "psi_a",
-    "psi_a0",
-    "psi_as",
-    "stabilizer",
-    "transpose_antiauto",
-    "weyl_act",
-    "weyl_conjugate",
-    "weyl_right_act",
-    "young_order",
-]
+# The defining module of each public name.
+_EXPORTS = {
+    "laurent": ("Laurent",),
+    "schur": (
+        "AlgebraElement",
+        "WeylSymmetry",
+        "canonicalize",
+        "identity",
+        "multiply",
+        "transpose_antiauto",
+        "weyl_act",
+    ),
+    "dual": ("delta_pair", "multiply_schur_oracle", "pair"),
+    "tensor": ("TensorVector", "act", "multiply_via_action", "weyl_right_act"),
+    "homs": ("det_star", "det_tilde_sharp", "psi_a", "psi_a0", "psi_as"),
+    "semigroup": (
+        "PeriodicMatrix",
+        "det_tilde",
+        "eta_a",
+        "eta_as",
+        "evaluate",
+        "membership",
+        "nonvanishing_witness",
+        "weyl_conjugate",
+    ),
+    "looplie": ("LoopGenerator", "decompose_x", "decompose_y", "generator_set", "pi_tilde"),
+    "weyl": (
+        "AffineWeylElement",
+        "affine_matchings",
+        "double_cosets",
+        "equivalent_middle",
+        "meet",
+        "stabilizer",
+        "young_order",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # the import statement's machinery, unlike importlib.import_module, is
+    # what ``python -X importtime`` reports
+    value = getattr(__import__(module, globals(), level=1, fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

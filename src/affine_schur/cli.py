@@ -12,26 +12,23 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import cache as cache_mod
-from . import expr as expr_mod
-from . import schur
-from .combination import read
-from .homs import HOM_KINDS, apply_hom
-from .laurent import format_rational, parse_rational
-from .looplie import LoopGenerator, decompose_x, decompose_y, pi_tilde
-from .schur import AlgebraElement, WeylSymmetry, multiply, weyl_act
-from .semigroup import (
-    PeriodicMatrix,
-    det_tilde,
-    evaluate,
-    membership,
-    nonvanishing_witness,
+# Each subcommand imports the modules it calls inside its function, so that a
+# process loads (and, without bytecode files, compiles) only what its command
+# reaches; a pipeline starts one process per stage.  For the same reason the
+# parser keeps copies of homs.HOM_KINDS, verify.SUITES and cache.ENV_VAR; a
+# test pins each copy to its source.
+_HOM_KINDS = ("psi_as", "psi_a", "psi_a0", "det_sharp", "det_star", "weyl", "transpose")
+_VERIFY_SUITES = (
+    "oracle-equivalence",
+    "ring-axioms",
+    "hom-laws",
+    "semigroup-laws",
+    "mackey",
+    "lie",
+    "generators",
 )
-from .tensor import TensorVector, act, multiply_via_action
-from .dual import multiply_schur_oracle
-from .verify import SUITES, format_report, run_suite
+_CACHE_ENV_VAR = "AFFINE_SCHUR_CACHE"
 
 
 class UserError(Exception):
@@ -59,8 +56,12 @@ def _read_json(path):
 
 def _element_from_arg(arg, n):
     """An element from inline expression text, a JSON file, or stdin."""
+    from .schur import AlgebraElement
+
     if arg == "-" or os.path.exists(arg) and not arg.lstrip().startswith("xi"):
         return AlgebraElement.from_json(_read_json(arg))
+    from . import expr as expr_mod
+
     try:
         node = expr_mod.parse(arg)
     except expr_mod.ParseError as ex:
@@ -75,6 +76,8 @@ def _element_from_arg(arg, n):
 
 def _emit_element(el, args):
     if getattr(args, "spec_a", None) is not None:
+        from .laurent import parse_rational
+
         el = el.specialize(parse_rational(args.spec_a))
     if getattr(args, "text", False):
         print(el)
@@ -83,21 +86,28 @@ def _emit_element(el, args):
         sys.stdout.write("\n")
 
 
+# The package attribute of each engine, looked up when the command runs, so
+# that the green engine loads neither oracle.
 _ENGINES = {
-    "green": multiply,
-    "schur": multiply_schur_oracle,
-    "tensor": multiply_via_action,
+    "green": "multiply",
+    "schur": "multiply_schur_oracle",
+    "tensor": "multiply_via_action",
 }
 
 
 def cmd_multiply(args):
+    import affine_schur
+
+    from . import expr as expr_mod
+    from .schur import AlgebraElement
+
     try:
         node = expr_mod.parse(args.expression)
     except expr_mod.ParseError as ex:
         raise UserError(str(ex))
     if args.engine == "all":
         results = {
-            name: expr_mod.evaluate(node, args.n, product=fn)
+            name: expr_mod.evaluate(node, args.n, product=getattr(affine_schur, fn))
             for name, fn in _ENGINES.items()
         }
         values = list(results.values())
@@ -108,7 +118,8 @@ def cmd_multiply(args):
             return 2
         value = values[0]
     else:
-        value = expr_mod.evaluate(node, args.n, product=_ENGINES[args.engine])
+        product = getattr(affine_schur, _ENGINES[args.engine])
+        value = expr_mod.evaluate(node, args.n, product=product)
     if not isinstance(value, AlgebraElement):
         raise UserError("expression evaluates to a bare scalar")
     _emit_element(value, args)
@@ -116,6 +127,8 @@ def cmd_multiply(args):
 
 
 def cmd_act(args):
+    from .tensor import TensorVector, act
+
     el = _element_from_arg(args.element, args.n)
     vec = TensorVector.from_json(_read_json(args.vector))
     out = act(el, vec)
@@ -127,6 +140,8 @@ def cmd_act(args):
 def cmd_hom(args):
     if args.action != "apply":
         raise UserError("hom supports the 'apply' action")
+    from .homs import apply_hom
+
     el = _element_from_arg(args.element, args.n)
     window = None
     if args.window:
@@ -137,6 +152,8 @@ def cmd_hom(args):
 
 
 def cmd_weyl(args):
+    from .schur import WeylSymmetry, weyl_act
+
     el = _element_from_arg(args.element, args.n)
     if args.rho:
         sym = WeylSymmetry.rho(el.n)
@@ -151,6 +168,8 @@ def cmd_weyl(args):
 
 
 def cmd_eval_semigroup(args):
+    from .semigroup import PeriodicMatrix, evaluate, membership
+
     g = PeriodicMatrix.from_json(_read_json(args.matrix))
     if not membership(g, "GL-generic"):
         print("warning: matrix has vanishing affine determinant", file=sys.stderr)
@@ -159,6 +178,9 @@ def cmd_eval_semigroup(args):
 
 
 def cmd_det(args):
+    from .laurent import format_rational, parse_rational
+    from .semigroup import PeriodicMatrix, det_tilde
+
     g = PeriodicMatrix.from_json(_read_json(args.matrix))
     d = det_tilde(g)
     if args.at is not None:
@@ -171,12 +193,18 @@ def cmd_det(args):
 def cmd_lie(args):
     if args.action != "pi":
         raise UserError("lie supports the 'pi' action")
+    from .looplie import LoopGenerator, pi_tilde
+
     out = pi_tilde(LoopGenerator(args.n, args.s, args.t), args.r)
     _emit_element(out, args)
     return 0
 
 
 def cmd_decompose(args):
+    from . import expr as expr_mod
+    from . import schur
+    from .looplie import decompose_x, decompose_y
+
     text = args.index
     if not text.lstrip().startswith("xi"):
         text = "xi" + text.strip()
@@ -207,6 +235,13 @@ def cmd_decompose(args):
 
 
 def cmd_witness(args):
+    from fractions import Fraction
+
+    from . import schur
+    from .combination import read
+    from .laurent import format_rational, parse_rational
+    from .semigroup import nonvanishing_witness
+
     terms = read(_read_json(args.poly), [{"pairs": [(int, int)], "coeff": Fraction}])
     poly = [(schur.label_from_json(t["pairs"], args.n), t["coeff"]) for t in terms]
     a0 = parse_rational(args.a0) if args.a0 else Fraction(1)
@@ -227,6 +262,8 @@ _VERIFY_FLAGS = ("n", "r", "window", "budget", "seed", "triples", "offset", "cou
 
 
 def cmd_verify(args):
+    from .verify import format_report, run_suite
+
     given = ((name, getattr(args, name)) for name in _VERIFY_FLAGS)
     report = run_suite(args.suite, **{k: v for k, v in given if v is not None})
     if args.json:
@@ -238,12 +275,12 @@ def cmd_verify(args):
 
 
 def cmd_cache(args):
-    path = args.path or os.environ.get(cache_mod.ENV_VAR)
+    from .cache import StructureConstantCache
+
+    path = args.path or os.environ.get(_CACHE_ENV_VAR)
     if not path:
-        raise UserError(
-            "no cache path; give --path or set %s" % cache_mod.ENV_VAR
-        )
-    store = cache_mod.StructureConstantCache(path)
+        raise UserError("no cache path; give --path or set %s" % _CACHE_ENV_VAR)
+    store = StructureConstantCache(path)
     if args.action == "stats":
         json.dump(store.stats(), sys.stdout)
         sys.stdout.write("\n")
@@ -261,7 +298,7 @@ def build_parser():
     parser.add_argument(
         "--cache",
         help="path of the persistent structure-constant cache "
-        "(default: $%s)" % cache_mod.ENV_VAR,
+        "(default: $%s)" % _CACHE_ENV_VAR,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,7 +318,7 @@ def build_parser():
 
     p = sub.add_parser("hom", help="apply a named homomorphism")
     p.add_argument("action", choices=("apply",))
-    p.add_argument("--kind", choices=HOM_KINDS, required=True)
+    p.add_argument("--kind", choices=_HOM_KINDS, required=True)
     p.add_argument("--s", type=int, help="offset multiplier for psi_as")
     p.add_argument("--window", help="window tuple for the weyl kind, e.g. (0,1)")
     p.add_argument("--element", default="-")
@@ -339,7 +376,7 @@ def build_parser():
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
+    p.add_argument("suite", choices=_VERIFY_SUITES)
     for name in _VERIFY_FLAGS:
         p.add_argument("--" + name, type=int)
     p.add_argument("--json", action="store_true")
@@ -358,17 +395,27 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("the period n must be at least 1, got %d" % args.n)
-    cache_path = args.cache or os.environ.get(cache_mod.ENV_VAR)
+    cache_path = args.cache or os.environ.get(_CACHE_ENV_VAR)
     try:
         if cache_path and args.command != "cache":
-            schur.set_persistent_cache(cache_mod.StructureConstantCache(cache_path))
+            return _run_cached(args, cache_path)
+        return args.fn(args)
+    except (UserError, ValueError, OSError) as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return 1
+
+
+def _run_cached(args, path):
+    """Run the command with the persistent structure-constant cache at `path`."""
+    from . import schur
+    from .cache import StructureConstantCache
+
+    try:
+        schur.set_persistent_cache(StructureConstantCache(path))
         return args.fn(args)
     except schur.CacheMismatchError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
-    except (UserError, ValueError, OSError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 1
     finally:
         schur.set_persistent_cache(None)
 

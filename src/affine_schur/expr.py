@@ -137,6 +137,8 @@ def _tokenize(text, symbol):
                     end2 += 1
                 if end2 == end + 1:
                     raise ParseError("expected denominator", end + 2)
+                if not text[end + 1 : end2].strip("0"):
+                    raise ParseError("zero denominator", end + 2)
                 tokens.append(("NUM", Fraction(text[pos:end2]), col))
                 pos = end2
             else:

@@ -16,8 +16,11 @@ from fractions import Fraction
 
 
 def parse_rational(text):
-    """Parse 'p' or 'p/q' into a Fraction."""
-    return Fraction(text.strip())
+    """Parse 'p' or 'p/q' into a Fraction; a zero q raises ``ValueError``."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def format_rational(x):

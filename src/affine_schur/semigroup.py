@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .combination import Combination, accumulate, checked_int, read
 from .laurent import Laurent, format_rational
-from .schur import AlgebraElement
 from .weyl import all_perms, bar, perm_sign
 
 
@@ -209,6 +208,8 @@ def evaluate(g, r):
     its coordinate pairs; the sum over canonical labels is finite because each
     row has finite support.
     """
+    from .schur import AlgebraElement  # not at the top: `det` needs no algebra
+
     context = (g.n, checked_int(r, "r", 0))
     atoms = sorted(g.terms.items())
 

@@ -481,6 +481,28 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             "",
             "suite generators takes no parameter seed; it takes window, nmax, rmax\n",
         ),
+        # a zero denominator, in expression text and in a rational flag
+        (["multiply", "-n", "1", "1/0*xi[(1)|(2)]"], "", "zero denominator at column 3\n"),
+        (
+            ["decompose", "--index", "xi[(1)|(2)]*1/0", "--n", "1"],
+            "",
+            "zero denominator at column 15\n",
+        ),
+        (
+            ["multiply", "-n", "1", "xi[(1)|(2)]", "--spec-a", "1/0"],
+            "",
+            "zero denominator in '1/0'\n",
+        ),
+        (
+            ["det", "--matrix", "-", "--at", "1/0"],
+            '{"n":1,"entries":[[1,1,"2"],[1,2,"3"]]}',
+            "zero denominator in '1/0'\n",
+        ),
+        (
+            ["witness", "--poly", "-", "--n", "1", "--special", "--a0", "1/0"],
+            '[{"pairs":[[1,3]],"coeff":"1"}]',
+            "zero denominator in '1/0'\n",
+        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):

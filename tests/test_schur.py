@@ -531,3 +531,43 @@ def test_green_preserves_orbit_counts(labels):
     assert sum(c * _column_count(z, n) for z, c in product.items()) == (
         _column_count(x, n) * _column_count(y, n)
     )
+
+
+# -- symmetries of the product beyond the oracles' reach --------------------------
+
+def _seeded_composable(rng, n, r):
+    """Labels (x, y) with offsets in -1..1 and y's tops a rearrangement of x's
+    bottom residues."""
+    def bottoms():
+        return tuple(rng.randint(1, n) + n * rng.randint(-1, 1) for _ in range(r))
+
+    x_bottoms = bottoms()
+    y_tops = [bar(b, n) for b in x_bottoms]
+    rng.shuffle(y_tops)
+    x = canonicalize(tuple(rng.randint(1, n) for _ in range(r)), x_bottoms, n)
+    return x, canonicalize(tuple(y_tops), bottoms(), n)
+
+
+@pytest.mark.parametrize("n,r", [(2, 7), (2, 8), (3, 7), (3, 8)])
+def test_transpose_reverses_products_at_high_rank(n, r):
+    # (xy)^T = y^T x^T where neither oracle can follow (30-60 s a pair at r = 8)
+    rng = random.Random("transpose:%d:%d" % (n, r))
+    for _ in range(30):
+        x, y = (AlgebraElement(n, r, {label: 1}) for label in _seeded_composable(rng, n, r))
+        xy = multiply(x, y)
+        assert not xy.is_zero()
+        assert transpose_antiauto(xy) == multiply(transpose_antiauto(y), transpose_antiauto(x))
+
+
+@pytest.mark.parametrize("r", [8, 9, 10])
+def test_n1_products_commute_at_high_rank(r):
+    # S(1, r) is commutative: it is the ring of symmetric Laurent polynomials
+    rng = random.Random("commute:%d" % r)
+    for _ in range(10):
+        x, y = (
+            AlgebraElement(1, r, {_n1_label(rng.randint(-2, 2) for _ in range(r)): 1})
+            for _ in range(2)
+        )
+        xy = multiply(x, y)
+        assert not xy.is_zero()
+        assert xy == multiply(y, x)
