@@ -16,8 +16,8 @@ import sys
 # Each subcommand imports the modules it calls inside its function, so that a
 # process loads (and, without bytecode files, compiles) only what its command
 # reaches; a pipeline starts one process per stage.  For the same reason the
-# parser keeps copies of homs.HOM_KINDS, verify.SUITES and cache.ENV_VAR; a
-# test pins each copy to its source.
+# parser keeps copies of verify.SUITES and cache.ENV_VAR; a test pins each
+# copy to its source.  _HOM_KINDS is the one list of the kinds cmd_hom applies.
 _HOM_KINDS = ("psi_as", "psi_a", "psi_a0", "det_sharp", "det_star", "weyl", "transpose")
 _VERIFY_SUITES = (
     "oracle-equivalence",
@@ -138,15 +138,28 @@ def cmd_act(args):
 
 
 def cmd_hom(args):
-    if args.action != "apply":
-        raise UserError("hom supports the 'apply' action")
-    from .homs import apply_hom
+    from . import homs, schur
 
     el = _element_from_arg(args.element, args.n)
     window = None
     if args.window:
         window = tuple(int(v) for v in args.window.strip("()").split(","))
-    out = apply_hom(args.kind, el, s=args.s, window=window)
+    if args.kind == "psi_as":
+        if args.s is None:
+            raise UserError("psi_as needs --s")
+        out = homs.psi_as(el, args.s)
+    elif args.kind in ("psi_a", "psi_a0"):
+        out = homs.psi_a(el)
+    elif args.kind == "det_sharp":
+        out = homs.det_tilde_sharp(el)
+    elif args.kind == "det_star":
+        out = homs.det_star(el)
+    elif args.kind == "weyl":
+        if window is None:
+            raise UserError("weyl needs --window")
+        out = schur.weyl_act(schur.WeylSymmetry(window), el)
+    else:
+        out = schur.transpose_antiauto(el)
     _emit_element(out, args)
     return 0
 
@@ -191,8 +204,6 @@ def cmd_det(args):
 
 
 def cmd_lie(args):
-    if args.action != "pi":
-        raise UserError("lie supports the 'pi' action")
     from .looplie import LoopGenerator, pi_tilde
 
     out = pi_tilde(LoopGenerator(args.n, args.s, args.t), args.r)

@@ -152,6 +152,9 @@ class Combination:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def _check_context(self, other):
         if type(other) is not type(self):
             raise TypeError(

@@ -98,9 +98,8 @@ class RowFiniteMap:
     coefficient) pairs for a source basis index.
     """
 
-    def __init__(self, apply_fn, name="map"):
+    def __init__(self, apply_fn):
         self._apply = apply_fn
-        self.name = name
 
     def apply(self, idx):
         return [(o, c) for o, c in self._apply(idx) if not c.is_zero()]
@@ -145,11 +144,9 @@ def sharp_compose_check(f, g, in_window, mid_window, out_window):
         for o, c in f.apply(idx):
             if o not in set(mid_window) and not c.is_zero():
                 raise ValueError("window not closed under f at %s -> %s" % (idx, o))
-    composite = compose_maps(g, f, in_window, out_window, mid_window)
-    lhs = _transpose(composite)
-    f_sharp = _transpose(f.matrix(in_window, mid_window))
-    g_sharp = _transpose(g.matrix(mid_window, out_window))
-    rhs = _mat_mul(f_sharp, g_sharp)
+    f_mat, g_mat = f.matrix(in_window, mid_window), g.matrix(mid_window, out_window)
+    lhs = _transpose(_mat_mul(g_mat, f_mat))
+    rhs = _mat_mul(_transpose(f_mat), _transpose(g_mat))
     return lhs == rhs
 
 
@@ -170,7 +167,7 @@ def phi_as_map(n, s):
         bottom = tuple(v + n * e for v, e in zip(j, new_eps))
         return [(canonicalize(i, bottom, n), Laurent.gen(ht))]
 
-    return RowFiniteMap(apply_fn, name="phi_a_%d" % s)
+    return RowFiniteMap(apply_fn)
 
 
 def det_multiplication_map(n, r, window, height_scalar=None):
@@ -201,4 +198,4 @@ def det_multiplication_map(n, r, window, height_scalar=None):
     def apply_fn(pairs):
         return accumulate(items(pairs)).items()
 
-    return RowFiniteMap(apply_fn, name="det_mult")
+    return RowFiniteMap(apply_fn)

@@ -144,31 +144,3 @@ def det_star(x):
     out = det_tilde_sharp(x)
     assert out.is_finite_support()
     return out
-
-
-# -- CLI-facing descriptor ------------------------------------------------------
-
-HOM_KINDS = ("psi_as", "psi_a", "psi_a0", "det_sharp", "det_star", "weyl", "transpose")
-
-
-def apply_hom(kind, x, s=None, window=None):
-    """Dispatch a named homomorphism; used by the command-line interface."""
-    from .schur import WeylSymmetry, transpose_antiauto, weyl_act
-
-    if kind == "psi_as":
-        if s is None:
-            raise ValueError("psi_as needs --s")
-        return psi_as(x, s)
-    if kind in ("psi_a", "psi_a0"):
-        return psi_a(x)
-    if kind == "det_sharp":
-        return det_tilde_sharp(x)
-    if kind == "det_star":
-        return det_star(x)
-    if kind == "weyl":
-        if window is None:
-            raise ValueError("weyl needs --window")
-        return weyl_act(WeylSymmetry(window), x)
-    if kind == "transpose":
-        return transpose_antiauto(x)
-    raise ValueError("unknown hom kind %r" % kind)

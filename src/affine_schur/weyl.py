@@ -41,7 +41,7 @@ def identity_perm(r):
 
 def compose_perm(sigma, tau):
     """(sigma*tau)(k) = sigma(tau(k))."""
-    return tuple(sigma[t - 1] for t in tau)
+    return tuple([sigma[t - 1] for t in tau])
 
 
 def invert_perm(sigma):
@@ -120,22 +120,24 @@ class AffineWeylElement:
 
     def apply(self, t, n):
         """t . (sigma, eps) = t sigma + n eps."""
-        if len(t) != self.r:
+        if len(t) != len(self.sigma):
             raise ValueError("tuple length %d does not match r=%d" % (len(t), self.r))
         return tuple([t[s - 1] + n * e for s, e in zip(self.sigma, self.eps)])
 
     def compose(self, other):
         """The element w with t.w = (t.self).other for every t."""
-        if self.r != other.r:
+        sigma, eps = self.sigma, self.eps
+        if len(sigma) != len(other.sigma):
             raise ValueError("cannot compose ranks %d and %d" % (self.r, other.r))
-        sigma = compose_perm(self.sigma, other.sigma)
-        eps = tuple(self.eps[s - 1] + e for s, e in zip(other.sigma, other.eps))
-        return AffineWeylElement(sigma, eps)
+        return AffineWeylElement._unchecked(
+            compose_perm(sigma, other.sigma),
+            tuple([eps[s - 1] + e for s, e in zip(other.sigma, other.eps)]),
+        )
 
     def inverse(self):
         si = invert_perm(self.sigma)
         eps = tuple(-self.eps[s - 1] for s in si)
-        return AffineWeylElement(si, eps)
+        return AffineWeylElement._unchecked(si, eps)
 
     def is_identity(self):
         return self.sigma == identity_perm(self.r) and not any(self.eps)

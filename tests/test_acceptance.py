@@ -177,16 +177,16 @@ def test_criterion_8_appendix_suites():
         is_invariant,
         mackey_product,
         transfer,
-        tuple_action,
+        zero_shift,
     )
-    from affine_schur.weyl import all_perms, young_subgroup
+    from affine_schur.weyl import all_perms, refines, young_subgroup
 
     report = run_suite("mackey")
     passed, count = _suite_passed(report)
 
     # exhaustive over all Young subgroup pairs of the rank-three group, with
     # systematic seed operators over a two-letter alphabet
-    S3 = all_perms(3)
+    S3 = zero_shift(all_perms(3))
     partitions = [
         ((1,), (2,), (3,)),
         ((1, 2), (3,)),
@@ -202,21 +202,19 @@ def test_criterion_8_appendix_suites():
     checked = 0
     ok = True
     for p1 in partitions:
-        H1 = list(young_subgroup(p1))
+        H1 = zero_shift(young_subgroup(p1))
         for p2 in partitions:
-            H2 = list(young_subgroup(p2))
+            H2 = zero_shift(young_subgroup(p2))
             for (i, j) in seeds:
-                a = OperatorSum.zero()
-                b = OperatorSum.zero()
+                a = OperatorSum.zero(2)
+                b = OperatorSum.zero(2)
                 for g in H1:
-                    a = a + OperatorSum.unit(i, j).translate(g, tuple_action)
+                    a = a + OperatorSum.unit(2, i, j).translate(g)
                 for g in H2:
-                    b = b + OperatorSum.unit(j, i).translate(g, tuple_action)
-                expected = transfer(a, H1, S3, tuple_action) * transfer(
-                    b, H2, S3, tuple_action
-                )
+                    b = b + OperatorSum.unit(2, j, i).translate(g)
+                expected = transfer(a, H1, S3) * transfer(b, H2, S3)
                 try:
-                    coset_sum = mackey_product(a, H1, b, H2, S3, tuple_action)
+                    coset_sum = mackey_product(a, H1, b, H2, S3)
                 except ValueError:
                     continue
                 except ArithmeticError:
@@ -227,17 +225,13 @@ def test_criterion_8_appendix_suites():
                     ok = False
                 # transitivity through every intermediate Young subgroup
                 for p_mid in partitions:
-                    from affine_schur.weyl import refines
-
                     if not refines(p1, p_mid):
                         continue
-                    Hm = list(young_subgroup(p_mid))
-                    mid = transfer(a, H1, Hm, tuple_action)
-                    if not is_invariant(mid, Hm, tuple_action):
+                    Hm = zero_shift(young_subgroup(p_mid))
+                    mid = transfer(a, H1, Hm)
+                    if not is_invariant(mid, Hm):
                         continue
-                    if transfer(mid, Hm, S3, tuple_action) != transfer(
-                        a, H1, S3, tuple_action
-                    ):
+                    if transfer(mid, Hm, S3) != transfer(a, H1, S3):
                         ok = False
     _report(
         8,

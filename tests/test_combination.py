@@ -65,6 +65,18 @@ def test_trusted_constructor_accumulates_without_checks():
     assert x.is_zero() and x == AlgebraElement.zero(1, 1)
 
 
+def test_zero_combinations_are_falsy():
+    for zero, nonzero in [
+        (AlgebraElement.zero(1, 1), AlgebraElement.basis(1, (1,), (2,))),
+        (TensorVector.zero(1, 2), TensorVector.basis(1, (1, 2))),
+        (PeriodicMatrix.zero(1), PeriodicMatrix.identity(1)),
+        (OperatorSum.zero(2), OperatorSum.unit(2, (1,), (2,))),
+    ]:
+        assert not zero and zero.is_zero()
+        assert nonzero and not nonzero.is_zero()
+        assert not nonzero - nonzero
+
+
 def test_add_across_contexts_raises():
     with pytest.raises(ValueError):
         TensorVector.basis(1, (1, 2)) + TensorVector.basis(2, (1, 2))
@@ -98,7 +110,7 @@ def test_add_across_contexts_raises():
         ),
         lambda: PeriodicMatrix(0, {(1, 1): 1}),
         lambda: PeriodicMatrix(1, {(1, 1, 1): 1}),
-        lambda: OperatorSum({(1, 2, 3): 1}),
+        lambda: OperatorSum(2, {(1, 2, 3): 1}),
     ],
 )
 def test_public_constructors_reject_malformed_input(build):
@@ -109,8 +121,8 @@ def test_public_constructors_reject_malformed_input(build):
 def test_public_constructors_normalize_and_add():
     # (3, 3) is (1, 1) shifted by the period
     assert PeriodicMatrix(2, {(1, 1): 1, (3, 3): 2}) == PeriodicMatrix(2, {(1, 1): 3})
-    assert OperatorSum([((1, 2), 1), ((1, 2), Fraction(1, 2))]) == OperatorSum.unit(
-        1, 2, Fraction(3, 2)
+    assert OperatorSum(2, [(((1,), (2,)), 1), (((1,), (2,)), Fraction(1, 2))]) == (
+        OperatorSum.unit(2, (1,), (2,), Fraction(3, 2))
     )
     x = AlgebraElement.from_json(
         {

@@ -548,10 +548,18 @@ _LIBRARY_CHECKS = """
 from affine_schur.dual import phi_as_map
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import LoopGenerator, lie_bracket_check
-from affine_schur.transfer import OperatorSum, mackey_product, tuple_action
+from affine_schur.transfer import OperatorSum, mackey_product, zero_shift
 from affine_schur.weyl import AffineWeylElement, all_perms, young_subgroup
 
-unit = OperatorSum.unit((1, 1, 1), (1, 1, 1))
+
+def mackey_with_a_wrong_inverse():
+    AffineWeylElement.inverse = lambda self: self
+    unit = OperatorSum.unit(1, (1, 1, 1), (1, 1, 1))
+    mackey_product(
+        unit, zero_shift(young_subgroup(((1, 2), (3,)))),
+        unit, zero_shift(young_subgroup(((1,), (2, 3)))), zero_shift(all_perms(3)),
+    )
+
 
 for call in (
     lambda: phi_as_map(1, 0).apply(((1, 2),)),
@@ -561,10 +569,7 @@ for call in (
     lambda: AffineWeylElement((1, 1), (0,)),
     lambda: AffineWeylElement((2, 1), (0,)),
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
-    lambda: mackey_product(
-        unit, young_subgroup(((1, 2), (3,))), unit, young_subgroup(((1,), (2, 3))),
-        all_perms(3), tuple_action, inv=lambda g: g,
-    ),
+    mackey_with_a_wrong_inverse,
 ):
     try:
         call()

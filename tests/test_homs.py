@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from affine_schur.schur import (
 )
 from affine_schur.weyl import meet, partition_of, young_order
 from affine_schur.homs import (
-    apply_hom,
     collapse_index,
     det_star,
     det_tilde_sharp,
@@ -147,15 +147,34 @@ def test_det_sharp_restriction_is_det_star():
         assert det_tilde_sharp(el) == det_star(el)
 
 
-def test_apply_hom_dispatch():
+def test_apply_hom_dispatch(capsys):
+    # ``hom apply`` sends each kind to its map, and a missing option or an
+    # element outside a map's domain to an error line
+    from affine_schur.cli import main
+    from affine_schur.schur import WeylSymmetry, transpose_antiauto, weyl_act
+
     x = AlgebraElement.basis(2, (1, 1), (3, 1))
-    assert apply_hom("psi_a", x) == psi_a(x)
-    assert apply_hom("psi_as", x, s=2) == psi_as(x, 2)
-    assert apply_hom("transpose", x) == apply_hom("transpose", x)
-    with pytest.raises(ValueError):
-        apply_hom("psi_as", x)
-    with pytest.raises(ValueError):
-        apply_hom("nope", x)
+    given = ["hom", "apply", "--element", "xi[(1,1)|(3,1)]", "-n", "2", "--kind"]
+    for kind, want in [
+        (["psi_a"], psi_a(x)),
+        (["psi_a0"], psi_a(x)),
+        (["psi_as", "--s", "2"], psi_as(x, 2)),
+        (["det_sharp"], det_tilde_sharp(x)),
+        (["weyl", "--window", "(0,1)"], weyl_act(WeylSymmetry((0, 1)), x)),
+        (["transpose"], transpose_antiauto(x)),
+    ]:
+        assert main(given + kind) == 0
+        assert AlgebraElement.from_json(json.loads(capsys.readouterr().out)) == want
+    for kind, message in [
+        ("psi_as", "psi_as needs --s"),
+        ("weyl", "weyl needs --window"),
+        ("det_star", "det_star needs an element of the finite subalgebra"),
+    ]:
+        assert main(given + [kind]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+    with pytest.raises(SystemExit) as exc:
+        main(given + ["nope"])
+    assert exc.value.code == 1
 
 
 def test_two_variable_check_rejects_heights_at_the_packing_bound():

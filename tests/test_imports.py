@@ -45,13 +45,15 @@ _BASE = {"cli", "combination", "laurent", "weyl"}
             "",
             {"expr", "looplie", "schur", "semigroup"},
         ),
+        (["verify", "hom-laws"], "", {"verify", "schur", "homs"}),
     ],
     ids=["det", "det-at", "eval-semigroup", "lie-pi", "weyl-rho", "hom-psi_a",
-         "multiply", "decompose"],
+         "multiply", "decompose", "verify-hom-laws"],
 )
 def test_subcommand_loads_only_the_modules_it_reaches(argv, stdin, modules):
-    # neither oracle, nor verify, cache or transfer: a light command compiles
-    # only its own path when no bytecode files are at hand
+    # a light command loads neither oracle, nor verify, cache or transfer, and
+    # verify loads only what its suite reaches: a process compiles only its
+    # own path when no bytecode files are at hand
     proc = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT, *argv],
         input=stdin,
@@ -99,9 +101,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_parser_copies_match_their_sources():
-    from affine_schur import cache, homs, verify
+    from affine_schur import cache, verify
 
-    assert cli._HOM_KINDS == homs.HOM_KINDS
     assert cli._VERIFY_SUITES == tuple(verify.SUITES)
     assert cli._CACHE_ENV_VAR == cache.ENV_VAR
     for engine in cli._ENGINES.values():

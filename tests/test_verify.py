@@ -97,3 +97,20 @@ def test_verify_reports_are_identical_under_optimize():
         '{"suite": "%s", "passed": true' % name for name in SUITES
     ]
     assert all('"value": "' in line for line in lines[-3:])
+
+
+@pytest.mark.parametrize(
+    "params", [{}, {"n": 1, "r": 2}, {"n": 3, "r": 4}], ids=["defaults", "n1-r2", "n3-r4"]
+)
+def test_mackey_report_pins_every_check_count(params):
+    # a rewrite of the transfer calculus must not check fewer cases
+    report = run_suite("mackey", **params)
+    assert report["passed"]
+    assert [(c["name"], c["count"]) for c in report["checks"]] == [
+        ("mackey-symmetric-group", 40),
+        ("transfer-transitivity", 40),
+        ("transfer-move", 40),
+        ("transfer-compare", 40),
+        ("mackey-affine-window", 8),
+        ("sharp-reverses-composition", 4),
+    ]
