@@ -6,6 +6,9 @@ is never materialized; every use here factors through finite pairings against
 dual basis vectors.  The product oracle counts, for each candidate output
 label, the middle tuples s compatible with both factors.  It shares nothing
 with the double-coset engine except the canonical labelling itself.
+
+The coalgebra-side maps are row-finite and compose one label at a time, so
+checking that dualizing reverses composition needs no output window.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ from .weyl import affine_matchings
 def pair(xi_pairs, c_pairs):
     """Evaluation pairing of a basis element against a coordinate monomial."""
     return 1 if tuple(xi_pairs) == tuple(c_pairs) else 0
-
-
-def _first_factor_middles(i, j, n):
-    """Distinct s with (i, s) in the orbit of (i, j), for i in I(n,r).
-
-    Top-normalized tops force the shift part to vanish, so s runs over the
-    images of j under the stabilizer of i.
-    """
-    return {w.apply(j, n) for w in affine_matchings(i, i, n)}
 
 
 def delta_pair(x_pairs, y_pairs, c_pairs, n):
@@ -66,11 +60,10 @@ def multiply_schur_oracle(x, y):
 @lru_cache(maxsize=None)
 def _schur_basis_product(x_pairs, y_pairs, n):
     i = index_tops(x_pairs)
-    j = index_bottoms(x_pairs)
     k = index_tops(y_pairs)
     l = index_bottoms(y_pairs)
 
-    middles = _first_factor_middles(i, j, n)
+    middles = _middles_matching(x_pairs, i, n)
 
     # Collect candidate output labels constructively: for every admissible
     # middle s, every alignment w of the second factor onto s produces one.
@@ -89,65 +82,54 @@ def _schur_basis_product(x_pairs, y_pairs, n):
     return out
 
 
-# -- row-finite formal maps and the transpose-duality check --------------------
+# -- row-finite maps, composed label by label, and the duality check ----------
 
 class RowFiniteMap:
     """A formal linear map between based spaces, given by a coefficient rule.
 
-    ``apply(idx)`` returns the finite list of (output index, Laurent
-    coefficient) pairs for a source basis index.
+    ``apply(idx)`` returns the image of a source basis index as a dict
+    {output index: nonzero Laurent coefficient}, computed once per index and
+    shared by every caller, so it is read-only.  Maps compose one source
+    label at a time (``after``), so no output window is ever enumerated.
     """
 
     def __init__(self, apply_fn):
-        self._apply = apply_fn
+        self.apply = lru_cache(maxsize=None)(lambda idx: accumulate(apply_fn(idx)))
 
-    def apply(self, idx):
-        return [(o, c) for o, c in self._apply(idx) if not c.is_zero()]
+    def after(self, f):
+        """The composite self o f: apply f, then self to each term of the image."""
+        return RowFiniteMap(lambda idx: (
+            (o, c1 * c2) for m, c1 in f.apply(idx).items()
+            for o, c2 in self.apply(m).items()
+        ))
 
-    def matrix(self, in_window, out_window):
-        """Dense {(out, in): coeff} matrix over the given finite windows."""
-        out_set = set(out_window)
-        return accumulate(
-            ((o, idx), c)
-            for idx in in_window
-            for o, c in self.apply(idx)
-            if o in out_set
-        )
-
-
-def compose_maps(g, f, in_window, out_window, mid_window):
-    """Matrix of g-bar o f over windows, with the middle window declared."""
-    return _mat_mul(g.matrix(mid_window, out_window), f.matrix(in_window, mid_window))
+    def sharp(self, sources):
+        """The dual map xi_o -> sum <xi_o, self(c_idx)> xi_idx over idx in sources."""
+        columns = {}
+        for idx in sources:
+            for o, c in self.apply(idx).items():
+                columns.setdefault(o, []).append((idx, c))
+        return RowFiniteMap(lambda o: columns.get(o, ()))
 
 
-def _transpose(mat):
-    return {(b, a): c for (a, b), c in mat.items()}
+def sharp_compose_check(f, g, in_window, mid_window):
+    """Verify that dualizing reverses composition: (g o f)^# = f^# o g^#.
 
-
-def _mat_mul(m1, m2):
-    by_col = {}
-    for (a, b), c in m2.items():
-        by_col.setdefault(a, []).append((b, c))
-    return accumulate(
-        ((u, v), c1 * c2) for (u, w), c1 in m1.items() for v, c2 in by_col.get(w, [])
-    )
-
-
-def sharp_compose_check(f, g, in_window, mid_window, out_window):
-    """Verify that dualizing reverses composition on the given windows.
-
-    The windows must be closed enough that f maps the input window into the
-    middle window and g maps the middle window into the output window; the
-    check is exact.
+    Both sides are composed one label at a time.  f and g o f are dualized
+    over ``in_window``, and g over the labels f reaches from it, which must
+    lie in ``mid_window``; each output label of g is checked exactly.
     """
+    mid = set(mid_window)
+    reached = {}
     for idx in in_window:
-        for o, c in f.apply(idx):
-            if o not in set(mid_window) and not c.is_zero():
+        for o in f.apply(idx):
+            if o not in mid:
                 raise ValueError("window not closed under f at %s -> %s" % (idx, o))
-    f_mat, g_mat = f.matrix(in_window, mid_window), g.matrix(mid_window, out_window)
-    lhs = _transpose(_mat_mul(g_mat, f_mat))
-    rhs = _mat_mul(_transpose(f_mat), _transpose(g_mat))
-    return lhs == rhs
+            reached[o] = None
+    g_sharp = g.sharp(reached)
+    lhs = g.after(f).sharp(in_window)
+    rhs = f.sharp(in_window).after(g_sharp)
+    return all(lhs.apply(o) == rhs.apply(o) for m in reached for o in g.apply(m))
 
 
 # -- coalgebra-side maps used by the duality tests ------------------------------
@@ -156,6 +138,7 @@ def phi_as_map(n, s):
     """The coordinate-side map dual to the offset-rescaling endomorphism."""
     if s == 0:
         raise ValueError("the offset multiplier s must be nonzero")
+    gen = lru_cache(maxsize=None)(Laurent.gen)  # one coefficient per height
 
     def apply_fn(pairs):
         j, eps = split_offsets(pairs, n)
@@ -165,7 +148,7 @@ def phi_as_map(n, s):
         ht = sum(new_eps)
         i = index_tops(pairs)
         bottom = tuple(v + n * e for v, e in zip(j, new_eps))
-        return [(canonicalize(i, bottom, n), Laurent.gen(ht))]
+        return [(canonicalize(i, bottom, n), gen(ht))]
 
     return RowFiniteMap(apply_fn)
 
@@ -183,19 +166,17 @@ def det_multiplication_map(n, r, window, height_scalar=None):
     if height_scalar is None:
         height_scalar = Laurent.gen
     base = tuple(range(1, n + 1))
+    # the determinant's terms: (det-block bottoms, signed height coefficient)
+    blocks = [
+        (tuple(sigma[m] + n * eps[m] for m in range(n)),
+         height_scalar(sum(eps)) * perm_sign(sigma))
+        for sigma in _perms(n)
+        for eps in itertools.product(range(-window, window + 1), repeat=n)
+    ]
 
-    def items(pairs):
-        for sigma in _perms(n):
-            sign = perm_sign(sigma)
-            for eps in itertools.product(range(-window, window + 1), repeat=n):
-                tops = base + index_tops(pairs)
-                bottoms = (
-                    tuple(sigma[m] + n * eps[m] for m in range(n))
-                    + index_bottoms(pairs)
-                )
-                yield canonicalize(tops, bottoms, n), height_scalar(sum(eps)) * sign
+    def image(pairs):
+        tops, rest = base + index_tops(pairs), index_bottoms(pairs)
+        for block, c in blocks:
+            yield canonicalize(tops, block + rest, n), c
 
-    def apply_fn(pairs):
-        return accumulate(items(pairs)).items()
-
-    return RowFiniteMap(apply_fn)
+    return RowFiniteMap(image)

@@ -32,8 +32,14 @@ class OperatorSum(Combination):
     _coeff = staticmethod(Fraction)
 
     def _key(self, key):
-        i, j = key
-        return (i, j)
+        """A pair (i, j) of integer tuples of one length r >= 1, else ValueError."""
+        if not (type(key) is tuple and len(key) == 2 and all(
+                type(t) is tuple and len(t) == len(key[0]) > 0
+                and all(type(v) is int for v in t) for t in key)):
+            raise ValueError(
+                "an operator index is a pair of integer tuples of one length"
+                " r >= 1, got %r" % (key,))
+        return key
 
     @classmethod
     def unit(cls, n, i, j, coeff=1):

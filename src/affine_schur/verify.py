@@ -559,7 +559,6 @@ def suite_mackey(r=3, n=2, seed=20240605):
 def _sharp_compose_cases(n):
     from .dual import (
         RowFiniteMap,
-        compose_maps,
         det_multiplication_map,
         phi_as_map,
         sharp_compose_check,
@@ -568,17 +567,11 @@ def _sharp_compose_cases(n):
     r = 1
     win_r = basis_indices(n, r, 1)
     win_mid = basis_indices(n, r, 2)
-    win_out = basis_indices(n, r + n, 3)
     f = phi_as_map(n, 1)
     g = det_multiplication_map(n, r, 3)
     # the coalgebra-side square behind the transfer compatibility: multiplying
     # by the affine determinant intertwines the offset-rescaling maps
     det_1 = det_multiplication_map(n, r, 3, height_scalar=lambda h: Laurent.one())
-
-    def reached(m, in_window, out_window):
-        # the labels m reaches are the only middle labels a composite after m
-        # uses; at n = 3 they are 52,920 of the 720,720 in win_out
-        return list(dict.fromkeys(o for o, _ in m.matrix(in_window, out_window)))
 
     # identity map and random sparse row-finite maps on a ten-label window
     ident = RowFiniteMap(lambda idx: [(idx, Laurent.one())])
@@ -593,12 +586,11 @@ def _sharp_compose_cases(n):
     f2 = RowFiniteMap(lambda idx: table_f.get(idx, []))
     g2 = RowFiniteMap(lambda idx: table_g.get(idx, []))
     return [
-        ("phi-det", lambda: sharp_compose_check(f, g, win_r, win_mid, win_out)),
-        ("det-square",
-         lambda: compose_maps(g, f, win_r, win_out, reached(f, win_r, win_mid))
-         == compose_maps(f, det_1, win_r, win_out, reached(det_1, win_r, win_out))),
-        ("identity", lambda: sharp_compose_check(ident, ident, small, small, small)),
-        ("sparse", lambda: sharp_compose_check(f2, g2, small, small, small)),
+        ("phi-det", lambda: sharp_compose_check(f, g, win_r, win_mid)),
+        ("det-square", lambda: all(
+            g.after(f).apply(idx) == f.after(det_1).apply(idx) for idx in win_r)),
+        ("identity", lambda: sharp_compose_check(ident, ident, small, small)),
+        ("sparse", lambda: sharp_compose_check(f2, g2, small, small)),
     ]
 
 

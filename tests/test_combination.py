@@ -111,6 +111,8 @@ def test_add_across_contexts_raises():
         lambda: PeriodicMatrix(0, {(1, 1): 1}),
         lambda: PeriodicMatrix(1, {(1, 1, 1): 1}),
         lambda: OperatorSum(2, {(1, 2, 3): 1}),
+        lambda: OperatorSum(2, {(1, 2): 1}),  # indices are not tuples
+        lambda: OperatorSum(2, {((1,), (1, 2)): 1}),  # lengths differ
     ],
 )
 def test_public_constructors_reject_malformed_input(build):

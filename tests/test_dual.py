@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from affine_schur.homs import det_tilde_sharp, psi_as
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
     AlgebraElement,
@@ -12,8 +15,10 @@ from affine_schur.schur import (
 from affine_schur.dual import (
     RowFiniteMap,
     delta_pair,
+    det_multiplication_map,
     multiply_schur_oracle,
     pair,
+    phi_as_map,
     sharp_compose_check,
 )
 
@@ -93,8 +98,37 @@ def test_oracle_matches_double_coset_engine():
 def test_sharp_compose_identity_and_sparse():
     win = basis_indices(2, 1, 1)
     ident = RowFiniteMap(lambda idx: [(idx, Laurent.one())])
-    assert sharp_compose_check(ident, ident, win, win, win)
+    assert sharp_compose_check(ident, ident, win, win)
     rng = random.Random(13)
     table = {idx: [(rng.choice(win), Laurent.gen(1))] for idx in win}
     f = RowFiniteMap(lambda idx: table.get(idx, []))
-    assert sharp_compose_check(f, f, win, win, win)
+    assert sharp_compose_check(f, f, win, win)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_det_tilde_sharp_is_dual_to_det_multiplication(n, r):
+    # S~(n,r) is the dual of the coordinate coalgebra, so the algebra-side
+    # det~^# is the transpose of multiplication by the determinant:
+    # <det~^#(xi_z), c_w> = <xi_z, det * c_w>.  The algebra side splits z into
+    # sub-multisets, the coalgebra side forms Leibniz products.  A label z
+    # reached from window 2 at det window 1 has its offsets in [-2, 2], so its
+    # column at det window 2 over input window 2 is all of it.
+    inputs = basis_indices(n, r, 2)
+    det_1 = det_multiplication_map(n, r, 1)
+    reached = {z for w in inputs for z in det_1.apply(w)}
+    columns = det_multiplication_map(n, r, 2).sharp(inputs)
+    for z in reached:
+        xi_z = AlgebraElement(n, n + r, {z: 1})
+        assert columns.apply(z) == det_tilde_sharp(xi_z).terms
+
+
+@pytest.mark.parametrize("s", [-1, 2, 3])
+@pytest.mark.parametrize("n, r", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_psi_as_is_dual_to_phi_as_map(n, r, s):
+    # <psi_as(xi_z), c_w> = <xi_z, phi_as(c_w)>: psi_as(xi_z) has the one term
+    # s*z, which lies in window 3 when z is reached from it
+    inputs = basis_indices(n, r, 3)
+    phi = phi_as_map(n, s)
+    columns = phi.sharp(inputs)
+    for z in {z for w in inputs for z in phi.apply(w)}:
+        assert columns.apply(z) == psi_as(AlgebraElement(n, r, {z: 1}), s).terms

@@ -545,7 +545,7 @@ def test_cli_witness_for_a_binomial_under_optimize(flags, entries):
 
 
 _LIBRARY_CHECKS = """
-from affine_schur.dual import phi_as_map
+from affine_schur.dual import phi_as_map, sharp_compose_check
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import LoopGenerator, lie_bracket_check
 from affine_schur.transfer import OperatorSum, mackey_product, zero_shift
@@ -569,6 +569,9 @@ for call in (
     lambda: AffineWeylElement((1, 1), (0,)),
     lambda: AffineWeylElement((2, 1), (0,)),
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
+    lambda: sharp_compose_check(
+        phi_as_map(1, -1), phi_as_map(1, 1), [((1, 2),)], [((1, 2),)]),
+    lambda: OperatorSum(2, {(1, 2): 1}),
     mackey_with_a_wrong_inverse,
 ):
     try:
@@ -583,8 +586,9 @@ for call in (
 def test_library_checks_raise_under_optimize():
     # -O strips assert statements; without a raise, a zero offset multiplier
     # divides by zero, a negative power of a never returns and a
-    # non-permutation builds an affine Weyl element, and a wrong Mackey sum
-    # is returned unchecked
+    # non-permutation builds an affine Weyl element, the sharp check passes
+    # on a window f leaves, an operator index of bare integers is kept, and a
+    # wrong Mackey sum is returned unchecked
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
         capture_output=True,
@@ -600,6 +604,9 @@ def test_library_checks_raise_under_optimize():
         "ValueError: sigma must be a permutation of 1..2, got (1, 1)",
         "ValueError: eps has 1 entries, sigma has 2",
         "ValueError: cannot compose ranks 1 and 2",
+        "ValueError: window not closed under f at ((1, 2),) -> ((1, 0),)",
+        "ValueError: an operator index is a pair of integer tuples of one length"
+        " r >= 1, got (1, 2)",
         "ArithmeticError: double-coset sum disagrees with the transfer product",
     ]
 
