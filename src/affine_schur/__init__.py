@@ -41,15 +41,7 @@ _EXPORTS = {
         "weyl_conjugate",
     ),
     "looplie": ("LoopGenerator", "decompose_x", "decompose_y", "generator_set", "pi_tilde"),
-    "weyl": (
-        "AffineWeylElement",
-        "affine_matchings",
-        "double_cosets",
-        "equivalent_middle",
-        "meet",
-        "stabilizer",
-        "young_order",
-    ),
+    "weyl": ("AffineWeylElement", "affine_matchings"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

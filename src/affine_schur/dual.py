@@ -13,6 +13,7 @@ checking that dualizing reverses composition needs no output window.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .combination import accumulate
@@ -24,7 +25,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import affine_matchings
+from .weyl import affine_matchings, all_perms, perm_sign
 
 
 def pair(xi_pairs, c_pairs):
@@ -141,7 +142,9 @@ def phi_as_map(n, s):
     gen = lru_cache(maxsize=None)(Laurent.gen)  # one coefficient per height
 
     def apply_fn(pairs):
-        j, eps = split_offsets(pairs, n)
+        # unmemoized: RowFiniteMap asks once per label, so the shared memo
+        # would only grow
+        j, eps = split_offsets.__wrapped__(pairs, n)
         if any(e % s for e in eps):
             return []
         new_eps = tuple(e // s for e in eps)
@@ -153,24 +156,18 @@ def phi_as_map(n, s):
     return RowFiniteMap(apply_fn)
 
 
-def det_multiplication_map(n, r, window, height_scalar=None):
+def det_multiplication_map(n, window, height_scalar=Laurent.gen):
     """Multiplication by the affine determinant function, windowed.
 
-    Sends a degree-r coordinate monomial to the terms of its product with the
-    determinant sum whose det-block offsets have absolute value <= window.
+    Sends a coordinate monomial of any degree to the terms of its product with
+    the determinant sum whose det-block offsets have absolute value <= window.
     """
-    import itertools
-
-    from .weyl import all_perms as _perms, perm_sign
-
-    if height_scalar is None:
-        height_scalar = Laurent.gen
     base = tuple(range(1, n + 1))
     # the determinant's terms: (det-block bottoms, signed height coefficient)
     blocks = [
         (tuple(sigma[m] + n * eps[m] for m in range(n)),
          height_scalar(sum(eps)) * perm_sign(sigma))
-        for sigma in _perms(n)
+        for sigma in all_perms(n)
         for eps in itertools.product(range(-window, window + 1), repeat=n)
     ]
 

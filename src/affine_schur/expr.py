@@ -8,7 +8,7 @@ Grammar:
     factor := scalar | atom | "(" expr ")"
     atom   := "xi[" tuple "|" tuple "]"
     tuple  := "(" int ("," int)* ")"
-    scalar := rational | param ("^" int)?
+    scalar := rational | "a" ("^" int)?
 
 Parsing reports syntax errors with a column; evaluation requires all atoms to
 share one length and is carried out over a caller-supplied period n.
@@ -110,7 +110,7 @@ def to_json(node):
 _SYMBOLS = "+-*()|,[]^"
 
 
-def _tokenize(text, symbol):
+def _tokenize(text):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -145,12 +145,9 @@ def _tokenize(text, symbol):
                 tokens.append(("NUM", Fraction(text[pos:end]), col))
                 pos = end
             continue
-        if text.startswith(symbol, pos) and (
-            pos + len(symbol) == len(text)
-            or not text[pos + len(symbol)].isalnum()
-        ):
-            tokens.append(("PARAM", symbol, col))
-            pos += len(symbol)
+        if ch == "a" and (pos + 1 == len(text) or not text[pos + 1].isalnum()):
+            tokens.append(("PARAM", "a", col))
+            pos += 1
             continue
         raise ParseError("unexpected character %r" % ch, col)
     tokens.append(("END", None, len(text) + 1))
@@ -252,17 +249,17 @@ class _Parser:
         return tuple(values)
 
 
-def parse(text, symbol="a"):
+def parse(text):
     """Parse an expression; raises ParseError with a column on bad input."""
-    parser = _Parser(_tokenize(text, symbol))
+    parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     parser.take("END")
     return node
 
 
-def parse_scalar(text, symbol="a"):
+def parse_scalar(text):
     """Parse a pure Laurent scalar expression."""
-    node = parse(text, symbol)
+    node = parse(text)
     if atom_length(node) is not None:
         raise ParseError("expected a scalar expression", node.column)
     return _eval_element(node, None, multiply)

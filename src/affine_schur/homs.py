@@ -8,8 +8,6 @@ composition law can be checked generically; specialization is layered on top.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from math import factorial, prod
 
 from .laurent import Laurent
 from .schur import (
@@ -18,11 +16,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import bar
-
-
-def _height_scalar(ht):
-    return Laurent.gen(ht)
+from .weyl import bar, stabilizer_order
 
 
 def collapse_index(pairs, n):
@@ -33,14 +27,10 @@ def collapse_index(pairs, n):
     """
     i = index_tops(pairs)
     j, eps = split_offsets(pairs, n)
-    return _stabilizer_order(zip(i, j)) // _stabilizer_order(zip(i, j, eps))
+    return stabilizer_order(zip(i, j)) // stabilizer_order(zip(i, j, eps))
 
 
-def _stabilizer_order(entries):
-    return prod(map(factorial, Counter(entries).values()))
-
-
-def psi_as(x, s, height_scalar=_height_scalar):
+def psi_as(x, s, height_scalar=Laurent.gen):
     """Rescale bottom offsets by s, weighting by the parameter to the height.
 
     For s = 0 this is the collapse onto the finite subalgebra followed by the
@@ -60,7 +50,7 @@ def psi_as(x, s, height_scalar=_height_scalar):
     return AlgebraElement._from_items(x.context, items())
 
 
-def psi_a(x, height_scalar=_height_scalar):
+def psi_a(x, height_scalar=Laurent.gen):
     """Surjection onto the finite subalgebra: offsets collapsed with index weights."""
     return psi_as(x, 0, height_scalar)
 
@@ -102,7 +92,7 @@ def _det_patterns(pairs, n):
         yield combo, tuple(sorted(rest))
 
 
-def det_tilde_sharp(x, height_scalar=_height_scalar):
+def det_tilde_sharp(x, height_scalar=Laurent.gen):
     """The determinant transfer from degree n+r down to degree r.
 
     The coefficient of an output label collects, over all determinant-shaped

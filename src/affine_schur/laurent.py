@@ -7,7 +7,7 @@ denominator other than 1) otherwise.  Structure constants are integers, so
 almost every coefficient is an ``int``; ``Fraction(2) == 2`` and the two hash
 alike, so equality, hashing and the text and JSON forms do not depend on the
 storage.  The same class doubles as the ring Q[t, t^-1] for periodic
-matrices; only the printed symbol differs.
+matrices, printed with the same symbol ``a``: ``det`` prints ``2 + 3*a``.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Laurent:
 
     # -- text and JSON forms ------------------------------------------------
 
-    def format(self, symbol="a"):
+    def format(self):
         if not self.terms:
             return "0"
         parts = []
@@ -198,7 +198,7 @@ class Laurent:
             if exp == 0:
                 body = format_rational(mag)
             else:
-                pow_txt = symbol if exp == 1 else "%s^%d" % (symbol, exp)
+                pow_txt = "a" if exp == 1 else "a^%d" % exp
                 body = pow_txt if mag == 1 else "%s*%s" % (format_rational(mag), pow_txt)
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -229,8 +229,8 @@ class Laurent:
             ) from None
 
     @classmethod
-    def parse(cls, text, symbol="a"):
+    def parse(cls, text):
         """Parse the text form, e.g. '4 + 12*a + 9*a^2' or '1/2*a^-1'."""
         from .expr import parse_scalar
 
-        return parse_scalar(text, symbol=symbol)
+        return parse_scalar(text)

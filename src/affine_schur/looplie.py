@@ -210,7 +210,7 @@ def _decompose_y(pairs, n):
 
 # -- decomposition over X (r < n) --------------------------------------------------
 
-def decompose_x(pairs, n, _verify=True):
+def decompose_x(pairs, n):
     """Express a basis element over the row +- 1 generators; needs r < n."""
     pairs = tuple(tuple(p) for p in pairs)
     r = len(pairs)
@@ -219,7 +219,7 @@ def decompose_x(pairs, n, _verify=True):
     expr = map_atoms(
         decompose_y(pairs, n, _verify=False), lambda p: _y_atom_over_x(p, n, r)
     )
-    return _remultiplied(expr, pairs, n) if _verify else expr
+    return _remultiplied(expr, pairs, n)
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +284,24 @@ def _finite_over_x(pairs, n, r):
     if any(not 1 <= b <= n for b in index_bottoms(pairs)):
         raise DecompositionError("not a finite label: %s" % (pairs,))
 
-    basis, rows = _finite_closure(n, r)
-    target = {pairs: Fraction(1)}
-    expr_parts = []
-    vec = dict(target)
+    vec, expr_parts = _reduce({pairs: Fraction(1)}, _finite_closure(n, r))
+    if vec:
+        raise DecompositionError(
+            "finite closure does not reach %s (is r < n?)" % (pairs,)
+        )
+    if len(expr_parts) == 1 and expr_parts[0][0] == 1:
+        return expr_parts[0][1]
+    return Node("sum", children=[scaled(c, e) for c, e in expr_parts])
+
+
+def _reduce(vec, rows):
+    """Reduce ``vec`` against echelon rows (pivot, vector, expression).
+
+    Returns the remainder and the (factor, row expression) pairs whose
+    multiples were subtracted, in row order.
+    """
+    vec = dict(vec)
+    used = []
     for pivot, row_vec, row_expr in rows:
         c = vec.get(pivot)
         if not c:
@@ -299,18 +313,16 @@ def _finite_over_x(pairs, n, r):
                 vec[k] = new
             else:
                 vec.pop(k, None)
-        expr_parts.append((factor, row_expr))
-    if vec:
-        raise DecompositionError(
-            "finite closure does not reach %s (is r < n?)" % (pairs,)
-        )
-    if len(expr_parts) == 1 and expr_parts[0][0] == 1:
-        return expr_parts[0][1]
-    return Node("sum", children=[scaled(c, e) for c, e in expr_parts])
+        used.append((factor, row_expr))
+    return vec, used
 
 
 @lru_cache(maxsize=None)
 def _finite_closure(n, r):
+    """Echelon rows (pivot, vector, expression) spanning the subalgebra that
+    the finite row +- 1 elements generate; each row's expression multiplies
+    out to its vector.
+    """
     gens = []
     for i in weakly_increasing_tuples(n, r - 1):
         for s in range(1, n):
@@ -323,25 +335,12 @@ def _finite_closure(n, r):
 
     def insert(vec, expr):
         """Reduce against existing rows, keeping the expression in step."""
-        vec = dict(vec)
-        parts = [expr]
-        for pivot, row_vec, row_expr in rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            factor = c / row_vec[pivot]
-            for k, v in row_vec.items():
-                new = vec.get(k, Fraction(0)) - factor * v
-                if new:
-                    vec[k] = new
-                else:
-                    vec.pop(k, None)
-            parts.append(scaled(-factor, row_expr))
+        vec, used = _reduce(vec, rows)
         if not vec:
             return None
+        parts = [expr] + [scaled(-factor, row_expr) for factor, row_expr in used]
         reduced_expr = parts[0] if len(parts) == 1 else Node("sum", children=parts)
-        pivot = sorted(vec)[0]
-        rows.append((pivot, vec, reduced_expr))
+        rows.append((min(vec), vec, reduced_expr))
         return vec, reduced_expr
 
     frontier = []
@@ -365,4 +364,4 @@ def _finite_closure(n, r):
                 if stored:
                     new_frontier.append(stored)
         frontier = new_frontier
-    return gens, rows
+    return rows

@@ -134,14 +134,12 @@ def matrix_mul(g, h):
     ))
 
 
-def eta_as(g, s, height_scalar=None):
+def eta_as(g, s, height_scalar=Laurent.gen):
     """The endomorphism substituting t -> a t^s in the Laurent realization.
 
     Sends the basis matrix with offset l to a^l times the one with offset s*l;
     for s = 0 all offsets collapse onto the finite block.
     """
-    if height_scalar is None:
-        height_scalar = Laurent.gen
     n = g.n
 
     def items():

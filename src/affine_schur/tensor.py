@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 
 from .combination import Combination, checked_int, read
 from .laurent import Laurent
@@ -26,7 +25,7 @@ from .schur import (
     index_tops,
     middle_orbit_rep,
 )
-from .weyl import affine_matchings
+from .weyl import affine_matchings, stabilizer_order
 
 
 class TensorVector(Combination):
@@ -93,7 +92,7 @@ def _basis_action_on_tuple(pairs, u, n):
     counts = Counter(w.apply(i, n) for w in affine_matchings(b, u, n))
     # The tops lie in 1..n, so the pair stabilizer is finite: it permutes
     # the positions of each repeated (top, bottom) pair.
-    stab = prod(factorial(m) for m in Counter(pairs).values())
+    stab = stabilizer_order(pairs)
     out = {}
     for image, count in counts.items():
         if count % stab:
@@ -120,11 +119,10 @@ def act(x, v):
     return TensorVector._from_items(v.context, items())
 
 
-def weyl_right_act(v, w, n=None):
+def weyl_right_act(v, w):
     """Right relabelling action v_u -> v_{u.w}."""
-    n = v.n if n is None else n
     return TensorVector._from_items(
-        v.context, ((w.apply(u, n), c) for u, c in v.terms.items())
+        v.context, ((w.apply(u, v.n), c) for u, c in v.terms.items())
     )
 
 

@@ -7,6 +7,10 @@ shifts are then forced, so the solutions are products of one bijection per
 residue class: prod m_c! of them rather than r!.  The tensor and dual product
 oracles and the affine transfer calculus all enumerate through it.
 
+``stabilizer_order(t)`` is the order of the group of place permutations that
+fix a tuple, prod m! over the multiplicities m of its entries; the collapse
+map's index weights and the tensor action's stabilizer division both use it.
+
 Permutations of {1..r} are stored as image tuples sigma with sigma[k-1] being
 the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),
 which makes the tuple action t |-> (t_{sigma(1)}, ..., t_{sigma(r)}) a right
@@ -17,9 +21,9 @@ place permutation followed by a shift by n*eps.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 
 # -- integers mod n, least positive remainder --------------------------------
@@ -272,6 +276,11 @@ def double_cosets(h2, g, h1):
 def tuple_orbit_rep(t, n):
     """Canonical representative of the orbit of a tuple: sorted residues."""
     return tuple(sorted(bar_tuple(t, n)))
+
+
+def stabilizer_order(t):
+    """Number of place permutations fixing the tuple (or iterable) t."""
+    return prod(map(factorial, Counter(t).values()))
 
 
 def affine_matchings(b, u, n):

@@ -10,6 +10,7 @@ from affine_schur.schur import (
     canonicalize,
     identity,
     multiply,
+    split_offsets,
     transpose_antiauto,
 )
 from affine_schur.dual import (
@@ -114,9 +115,9 @@ def test_det_tilde_sharp_is_dual_to_det_multiplication(n, r):
     # reached from window 2 at det window 1 has its offsets in [-2, 2], so its
     # column at det window 2 over input window 2 is all of it.
     inputs = basis_indices(n, r, 2)
-    det_1 = det_multiplication_map(n, r, 1)
+    det_1 = det_multiplication_map(n, 1)
     reached = {z for w in inputs for z in det_1.apply(w)}
-    columns = det_multiplication_map(n, r, 2).sharp(inputs)
+    columns = det_multiplication_map(n, 2).sharp(inputs)
     for z in reached:
         xi_z = AlgebraElement(n, n + r, {z: 1})
         assert columns.apply(z) == det_tilde_sharp(xi_z).terms
@@ -132,3 +133,14 @@ def test_psi_as_is_dual_to_phi_as_map(n, r, s):
     columns = phi.sharp(inputs)
     for z in {z for w in inputs for z in phi.apply(w)}:
         assert columns.apply(z) == psi_as(AlgebraElement(n, r, {z: 1}), s).terms
+
+
+def test_phi_as_map_leaves_the_shared_split_memo_alone():
+    # the map memoizes its image of each label itself, so splitting through
+    # the process-wide split_offsets memo as well would only grow that memo
+    inputs = basis_indices(2, 2, 3)
+    split_offsets.cache_clear()
+    phi = phi_as_map(2, 2)
+    for w in inputs:
+        phi.apply(w)
+    assert split_offsets.cache_info().currsize == 0

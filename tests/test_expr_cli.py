@@ -464,12 +464,12 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
         (
             ["verify", "lie", "--n", "5"],
             "",
-            "suite lie takes no parameter n; it takes offset, rmax, seed\n",
+            "suite lie takes no parameter n; it takes offset, seed\n",
         ),
         (
             ["verify", "lie", "--window", "9"],
             "",
-            "suite lie takes no parameter window; it takes offset, rmax, seed\n",
+            "suite lie takes no parameter window; it takes offset, seed\n",
         ),
         (
             ["verify", "oracle-equivalence", "--n", "2"],
@@ -479,7 +479,7 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
         (
             ["verify", "generators", "--seed", "3"],
             "",
-            "suite generators takes no parameter seed; it takes window, nmax, rmax\n",
+            "suite generators takes no parameter seed; it takes window\n",
         ),
         # a zero denominator, in expression text and in a rational flag
         (["multiply", "-n", "1", "1/0*xi[(1)|(2)]"], "", "zero denominator at column 3\n"),

@@ -1,5 +1,6 @@
 """What a process loads: the lazy package surface and each subcommand's modules."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -107,3 +108,15 @@ def test_parser_copies_match_their_sources():
     assert cli._CACHE_ENV_VAR == cache.ENV_VAR
     for engine in cli._ENGINES.values():
         assert engine in affine_schur.__all__
+
+
+def test_every_suite_parameter_is_a_verify_flag():
+    from affine_schur import verify
+
+    unflagged = sorted(
+        (name, param)
+        for name, suite in verify.SUITES.items()
+        for param in inspect.signature(suite).parameters
+        if param not in cli._VERIFY_FLAGS
+    )
+    assert unflagged == []

@@ -33,7 +33,7 @@ def test_check_counts_every_passing_case_then_reads_the_side_conditions():
 @pytest.mark.parametrize(
     "name, params, message",
     [
-        ("lie", {"n": 5}, "suite lie takes no parameter n; it takes offset, rmax, seed"),
+        ("lie", {"n": 5}, "suite lie takes no parameter n; it takes offset, seed"),
         ("mackey", {"window": 1, "budget": 2},
          "suite mackey takes no parameter budget, window; it takes r, n, seed"),
         ("oracle-equivalence", {"n": 2}, "n and r must be given together"),
