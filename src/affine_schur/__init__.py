@@ -20,7 +20,6 @@ _EXPORTS = {
     "laurent": ("Laurent",),
     "schur": (
         "AlgebraElement",
-        "WeylSymmetry",
         "canonicalize",
         "identity",
         "multiply",

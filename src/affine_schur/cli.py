@@ -137,13 +137,17 @@ def cmd_act(args):
     return 0
 
 
+def _parse_window(text):
+    """A window tuple such as ``(0,1)``."""
+    return tuple(int(v) for v in text.strip("()").split(","))
+
+
 def cmd_hom(args):
     from . import homs, schur
+    from .weyl import AffineWeylElement
 
     el = _element_from_arg(args.element, args.n)
-    window = None
-    if args.window:
-        window = tuple(int(v) for v in args.window.strip("()").split(","))
+    window = _parse_window(args.window) if args.window else None
     if args.kind == "psi_as":
         if args.s is None:
             raise UserError("psi_as needs --s")
@@ -157,7 +161,7 @@ def cmd_hom(args):
     elif args.kind == "weyl":
         if window is None:
             raise UserError("weyl needs --window")
-        out = schur.weyl_act(schur.WeylSymmetry(window), el)
+        out = schur.weyl_act(AffineWeylElement.from_window(window), el)
     else:
         out = schur.transpose_antiauto(el)
     _emit_element(out, args)
@@ -165,15 +169,16 @@ def cmd_hom(args):
 
 
 def cmd_weyl(args):
-    from .schur import WeylSymmetry, weyl_act
+    from .schur import weyl_act
+    from .weyl import AffineWeylElement
 
     el = _element_from_arg(args.element, args.n)
     if args.rho:
-        sym = WeylSymmetry.rho(el.n)
+        sym = AffineWeylElement.rho(el.n)
     elif args.si is not None:
-        sym = WeylSymmetry.s(el.n, args.si)
+        sym = AffineWeylElement.s(el.n, args.si)
     elif args.window:
-        sym = WeylSymmetry(tuple(int(v) for v in args.window.strip("()").split(",")))
+        sym = AffineWeylElement.from_window(_parse_window(args.window))
     else:
         raise UserError("give --window, --rho, or --si")
     _emit_element(weyl_act(sym, el), args)

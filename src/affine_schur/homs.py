@@ -70,26 +70,15 @@ def _det_patterns(pairs, n):
     for p in set(pairs):
         by_top.setdefault(p[0], []).append(p)
     choices = [by_top.get(t, []) for t in range(1, n + 1)]
-    counts = {}
-    for p in pairs:
-        counts[p] = counts.get(p, 0) + 1
     for combo in itertools.product(*choices):
         residues = [bar(p[1], n) for p in combo]
         if len(set(residues)) != n:
             continue
-        remainder = dict(counts)
-        ok = True
+        # one pair per top, so the n pairs are distinct members of the label
+        rest = list(pairs)
         for p in combo:
-            if remainder.get(p, 0) == 0:
-                ok = False
-                break
-            remainder[p] -= 1
-        if not ok:
-            continue
-        rest = []
-        for p, m in remainder.items():
-            rest.extend([p] * m)
-        yield combo, tuple(sorted(rest))
+            rest.remove(p)
+        yield combo, tuple(rest)
 
 
 def det_tilde_sharp(x, height_scalar=Laurent.gen):
@@ -115,16 +104,6 @@ def det_tilde_sharp(x, height_scalar=Laurent.gen):
 
     # The remainder of a canonical label is sorted with tops in 1..n.
     return AlgebraElement._from_items((n, x.r - n), items())
-
-
-def det_tilde_sharp_at(x, a0):
-    """The transfer with the parameter specialized to a nonzero rational."""
-    from fractions import Fraction
-
-    a0 = Fraction(a0)
-    if a0 == 0:
-        raise ValueError("the specialization point a0 must be nonzero")
-    return det_tilde_sharp(x, height_scalar=lambda ht: Laurent.const(a0 ** ht))
 
 
 def det_star(x):

@@ -30,6 +30,15 @@ def format_rational(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def height_at(a0):
+    """The height scalar h |-> a0**h of the parameter specialized to a nonzero
+    rational a0, for the maps that take ``height_scalar``."""
+    a0 = Fraction(a0)
+    if a0 == 0:
+        raise ValueError("the specialization point a0 must be nonzero")
+    return lambda h: Laurent.const(a0 ** h)
+
+
 def _normal(c):
     """A rational as stored: an integral ``Fraction`` becomes its ``int``."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
@@ -108,6 +117,9 @@ class Laurent:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as its value
+        if self.is_constant():
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

@@ -1,5 +1,5 @@
 """The affine Schur algebra: canonical orbit basis, element arithmetic, the
-double-coset product formula, identity, Weyl symmetries and transposition.
+double-coset product formula, identity, the Weyl action and transposition.
 
 A basis element is labelled by the orbit of a pair of integer tuples (i, j)
 under the simultaneous extended-affine-Weyl action.  The canonical label
@@ -412,87 +412,12 @@ def basis_indices(n, r, window):
     ]
 
 
-# -- Weyl symmetries -----------------------------------------------------------
-
-class WeylSymmetry:
-    """A bijection w of Z with w(z+n) = w(z)+n, given by its window (w(1)..w(n)).
-
-    The window residues must be a permutation of {1..n}.
-    """
-
-    __slots__ = ("window", "n")
-
-    def __init__(self, window):
-        window = tuple(int(v) for v in window)
-        n = len(window)
-        if sorted(bar(v, n) for v in window) != list(range(1, n + 1)):
-            raise ValueError(
-                "window residues must be a permutation of 1..%d, got %s" % (n, window)
-            )
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def rho(cls, n):
-        """The rotation z -> z - 1."""
-        return cls(range(0, n))
-
-    @classmethod
-    def s(cls, n, i):
-        """The reflection swapping the residue classes of i and i+1."""
-        if not 1 <= i <= n:
-            raise ValueError("reflection index must be in 1..%d, got %d" % (n, i))
-        window = list(range(1, n + 1))
-        if i < n:
-            window[i - 1], window[i] = i + 1, i
-        else:
-            window[n - 1] = n + 1
-            window[0] = 0
-        return cls(window)
-
-    def __call__(self, z):
-        res = bar(z, self.n)
-        return self.window[res - 1] + (z - res)
-
-    def apply_tuple(self, t):
-        return tuple(self(z) for z in t)
-
-    def compose(self, other):
-        """self after other as functions on Z."""
-        return WeylSymmetry(tuple(self(other(k)) for k in range(1, self.n + 1)))
-
-    def inverse(self):
-        out = [0] * self.n
-        for k in range(1, self.n + 1):
-            img = self(k)
-            res = bar(img, self.n)
-            out[res - 1] = k + (res - img)
-        return WeylSymmetry(out)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylSymmetry) and self.window == other.window
-
-    def __hash__(self):
-        return hash(self.window)
-
-    def __repr__(self):
-        return "WeylSymmetry(%s)" % (self.window,)
-
-
 def weyl_act(w, x):
-    """The algebra automorphism xi_{i,j} -> xi_{w(i),w(j)} extended linearly."""
-    if w.n != x.n:
-        raise ValueError("symmetry is for n=%d, element has n=%d" % (w.n, x.n))
-    apply = w.apply_tuple
+    """The automorphism xi_{i,j} -> xi_{w(i),w(j)}, w of rank n acting on values."""
+    if w.r != x.n:
+        raise ValueError("symmetry is for n=%d, element has n=%d" % (w.r, x.n))
     return AlgebraElement._from_items(x.context, (
-        (canonicalize(apply(index_tops(p)), apply(index_bottoms(p)), x.n), c)
+        (canonicalize(list(map(w, index_tops(p))), list(map(w, index_bottoms(p))), x.n), c)
         for p, c in x.terms.items()
     ))
 

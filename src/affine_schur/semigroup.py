@@ -156,13 +156,6 @@ def eta_a(g):
     return eta_as(g, 0)
 
 
-def eta_as_at(g, s, a0):
-    a0 = Fraction(a0)
-    if a0 == 0:
-        raise ValueError("the specialization point a0 must be nonzero")
-    return eta_as(g, s, height_scalar=lambda off: Laurent.const(a0 ** off))
-
-
 def det_tilde(g):
     """Determinant of the offset-collapsed matrix, exact in the parameter."""
     n = g.n
@@ -191,9 +184,9 @@ def membership(g, mode="GL-generic", a0=None):
 
 
 def weyl_conjugate(w, g):
-    """Conjugation by a Weyl symmetry: entry (i,j) moves to (w(i), w(j))."""
-    if w.n != g.n:
-        raise ValueError("symmetry is for n=%d, matrix has n=%d" % (w.n, g.n))
+    """Conjugation by an affine Weyl element of rank n: (i,j) moves to (w(i), w(j))."""
+    if w.r != g.n:
+        raise ValueError("symmetry is for n=%d, matrix has n=%d" % (w.r, g.n))
     return PeriodicMatrix(
         g.n, {(w(i), w(j)): v for (i, j), v in g.terms.items()}
     )

@@ -23,10 +23,9 @@ import random
 from fractions import Fraction
 
 from .combination import checked_int
-from .laurent import Laurent
+from .laurent import Laurent, height_at
 from .schur import (
     AlgebraElement,
-    WeylSymmetry,
     basis_indices,
     identity,
     index_bottoms,
@@ -124,7 +123,7 @@ def _grid(n, r):
 
 
 def _symmetries(n):
-    return [WeylSymmetry.rho(n)] + [WeylSymmetry.s(n, i) for i in range(1, n + 1)]
+    return [AffineWeylElement.rho(n)] + [AffineWeylElement.s(n, i) for i in range(1, n + 1)]
 
 
 # -- oracle equivalence ------------------------------------------------------------
@@ -249,10 +248,6 @@ def _packed(p, q):
     return Laurent.gen(_PACK * p + q)
 
 
-def _psi_at(x, s, a0):
-    return psi_as(x, s, height_scalar=lambda h: Laurent.const(Fraction(a0) ** h))
-
-
 def _psi_composition_failure(case):
     """psi_s psi_s' = psi_ss': formally when ``at`` is None, else at (a, a')."""
     s, s2, x, at = case
@@ -261,7 +256,9 @@ def _psi_composition_failure(case):
             return None
         return {"s": s, "s'": s2, "x": str(x)}
     a0, a1 = at
-    if _psi_at(_psi_at(x, s2, a1), s, a0) == _psi_at(x, s * s2, a1 * a0 ** s2):
+    inner = psi_as(x, s2, height_scalar=height_at(a1))
+    if (psi_as(inner, s, height_scalar=height_at(a0))
+            == psi_as(x, s * s2, height_scalar=height_at(a1 * a0 ** s2))):
         return None
     return {"s": s, "s'": s2, "a": str(a0), "a'": str(a1), "x": str(x)}
 
@@ -345,10 +342,12 @@ def _random_matrix(rng, n, max_entries):
 
 
 def _eta_composition_failure(case):
-    from .semigroup import eta_as_at
+    from .semigroup import eta_as
 
     m, (s, s2), (a0, a1) = case
-    if eta_as_at(eta_as_at(m, s2, a1), s, a0) == eta_as_at(m, s * s2, a1 * a0 ** s2):
+    inner = eta_as(m, s2, height_scalar=height_at(a1))
+    if (eta_as(inner, s, height_scalar=height_at(a0))
+            == eta_as(m, s * s2, height_scalar=height_at(a1 * a0 ** s2))):
         return None
     return {"m": str(m), "s": s, "s'": s2}
 

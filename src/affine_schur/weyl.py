@@ -16,6 +16,13 @@ the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),
 which makes the tuple action t |-> (t_{sigma(1)}, ..., t_{sigma(r)}) a right
 action.  An affine Weyl element is a pair (sigma, eps) acting on tuples by
 place permutation followed by a shift by n*eps.
+
+The same pair is the affine permutation W(k + r*q) = sigma(k) + r*(eps_k + q)
+of Z; its window is (W(1), ..., W(r)), ``compose`` is W1 o W2 and ``inverse``
+is W^-1.  Calling an element of rank n is the value action z |-> W(z), the
+symmetry xi_{i,j} |-> xi_{W(i),W(j)} of the Schur algebra; the place action
+t.W is T o W on 1..r, where T(k + r*q) = t_k + n*q.  So one group acts on
+values and on places.
 """
 
 from __future__ import annotations
@@ -85,7 +92,8 @@ def perm_sign(sigma):
 # -- affine Weyl elements ------------------------------------------------------
 
 class AffineWeylElement:
-    """An element (sigma, eps) of the extended affine Weyl group on r letters."""
+    """An element (sigma, eps) of the extended affine Weyl group on r letters:
+    the affine permutation k + r*q |-> sigma(k) + r*(eps_k + q) of Z."""
 
     __slots__ = ("sigma", "eps")
 
@@ -118,9 +126,46 @@ class AffineWeylElement:
     def identity(cls, r):
         return cls(identity_perm(r), (0,) * r)
 
+    @classmethod
+    def from_window(cls, window):
+        """The element W with (W(1), ..., W(r)) = window."""
+        window = tuple(int(v) for v in window)
+        r = len(window)
+        sigma = tuple(bar(v, r) for v in window)
+        if sorted(sigma) != list(range(1, r + 1)):
+            raise ValueError(
+                "window residues must be a permutation of 1..%d, got %s" % (r, window)
+            )
+        return cls._unchecked(sigma, tuple((v - k) // r for v, k in zip(window, sigma)))
+
+    @classmethod
+    def rho(cls, n):
+        """The rotation z -> z - 1."""
+        return cls.from_window(range(0, n))
+
+    @classmethod
+    def s(cls, n, i):
+        """The reflection swapping the residue classes of i and i+1."""
+        if not 1 <= i <= n:
+            raise ValueError("reflection index must be in 1..%d, got %d" % (n, i))
+        # W(i) = i + 1 and W(i + 1) = i, the latter read at the residue of i + 1
+        window = list(range(1, n + 1))
+        window[i - 1], window[i % n] = i + 1, i % n
+        return cls.from_window(window)
+
     @property
     def r(self):
         return len(self.sigma)
+
+    @property
+    def window(self):
+        return tuple(map(self, range(1, self.r + 1)))
+
+    def __call__(self, z):
+        """The value action: W(z) for an integer z."""
+        r = len(self.sigma)
+        k = bar(z, r)
+        return self.sigma[k - 1] + r * self.eps[k - 1] + z - k
 
     def apply(self, t, n):
         """t . (sigma, eps) = t sigma + n eps."""

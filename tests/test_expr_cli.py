@@ -569,6 +569,7 @@ for call in (
     lambda: AffineWeylElement((1, 1), (0,)),
     lambda: AffineWeylElement((2, 1), (0,)),
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
+    lambda: AffineWeylElement.from_window((1, 3)),
     lambda: sharp_compose_check(
         phi_as_map(1, -1), phi_as_map(1, 1), [((1, 2),)], [((1, 2),)]),
     lambda: OperatorSum(2, {(1, 2): 1}),
@@ -604,6 +605,7 @@ def test_library_checks_raise_under_optimize():
         "ValueError: sigma must be a permutation of 1..2, got (1, 1)",
         "ValueError: eps has 1 entries, sigma has 2",
         "ValueError: cannot compose ranks 1 and 2",
+        "ValueError: window residues must be a permutation of 1..2, got (1, 3)",
         "ValueError: window not closed under f at ((1, 2),) -> ((1, 0),)",
         "ValueError: an operator index is a pair of integer tuples of one length"
         " r >= 1, got (1, 2)",

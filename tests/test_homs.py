@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_schur.laurent import Laurent
+from affine_schur.laurent import Laurent, height_at
 from affine_schur.schur import (
     AlgebraElement,
     basis_indices,
@@ -17,7 +17,6 @@ from affine_schur.homs import (
     collapse_index,
     det_star,
     det_tilde_sharp,
-    det_tilde_sharp_at,
     psi_a,
     psi_a0,
     psi_as,
@@ -25,7 +24,7 @@ from affine_schur.homs import (
 
 
 def _at(x, s, a0):
-    return psi_as(x, s, height_scalar=lambda h: Laurent.const(Fraction(a0) ** h))
+    return psi_as(x, s, height_scalar=height_at(a0))
 
 
 def test_psi_as_examples():
@@ -137,7 +136,8 @@ def test_rescale_then_transfer():
     idxs = basis_indices(2, 3, 1)
     for _ in range(60):
         el = AlgebraElement(2, 3, {rng.choice(idxs): 1})
-        assert psi_as(det_tilde_sharp(el), 1) == det_tilde_sharp_at(psi_as(el, 1), 1)
+        assert psi_as(det_tilde_sharp(el), 1) == det_tilde_sharp(
+            psi_as(el, 1), height_scalar=height_at(1))
 
 
 def test_det_sharp_restriction_is_det_star():
@@ -151,7 +151,8 @@ def test_apply_hom_dispatch(capsys):
     # ``hom apply`` sends each kind to its map, and a missing option or an
     # element outside a map's domain to an error line
     from affine_schur.cli import main
-    from affine_schur.schur import WeylSymmetry, transpose_antiauto, weyl_act
+    from affine_schur.schur import transpose_antiauto, weyl_act
+    from affine_schur.weyl import AffineWeylElement
 
     x = AlgebraElement.basis(2, (1, 1), (3, 1))
     given = ["hom", "apply", "--element", "xi[(1,1)|(3,1)]", "-n", "2", "--kind"]
@@ -160,7 +161,7 @@ def test_apply_hom_dispatch(capsys):
         (["psi_a0"], psi_a(x)),
         (["psi_as", "--s", "2"], psi_as(x, 2)),
         (["det_sharp"], det_tilde_sharp(x)),
-        (["weyl", "--window", "(0,1)"], weyl_act(WeylSymmetry((0, 1)), x)),
+        (["weyl", "--window", "(0,1)"], weyl_act(AffineWeylElement.from_window((0, 1)), x)),
         (["transpose"], transpose_antiauto(x)),
     ]:
         assert main(given + kind) == 0

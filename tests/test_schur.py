@@ -14,7 +14,6 @@ from affine_schur.homs import psi_a
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
     AlgebraElement,
-    WeylSymmetry,
     basis_indices,
     canonicalize,
     identity,
@@ -195,10 +194,10 @@ def test_associativity_random():
 
 
 def test_weyl_act_examples():
-    rho = WeylSymmetry.rho(2)
+    rho = AffineWeylElement.rho(2)
     x = AlgebraElement.basis(2, (1, 2), (1, 4))
     assert weyl_act(rho, x) == AlgebraElement.basis(2, (1, 2), (3, 2))
-    assert weyl_act(WeylSymmetry.identity(2), x) == x
+    assert weyl_act(AffineWeylElement.identity(2), x) == x
     y = x
     for _ in range(2):
         y = weyl_act(rho, y)
@@ -208,7 +207,7 @@ def test_weyl_act_examples():
 def test_weyl_act_is_automorphism():
     rng = random.Random(8)
     idxs = basis_indices(2, 2, 1)
-    syms = [WeylSymmetry.rho(2), WeylSymmetry.s(2, 1), WeylSymmetry.s(2, 2)]
+    syms = [AffineWeylElement.rho(2), AffineWeylElement.s(2, 1), AffineWeylElement.s(2, 2)]
     for w in syms:
         for _ in range(40):
             x = AlgebraElement(2, 2, {rng.choice(idxs): 1})
@@ -219,8 +218,8 @@ def test_weyl_act_is_automorphism():
 
 def test_weyl_symmetry_window_validation():
     with pytest.raises(ValueError):
-        WeylSymmetry((1, 3))  # residues collide mod 2
-    w = WeylSymmetry((0, 1))
+        AffineWeylElement.from_window((1, 3))  # residues collide mod 2
+    w = AffineWeylElement.from_window((0, 1))
     assert w(1) == 0 and w(2) == 1 and w(3) == 2
     assert w.inverse()(0) == 1 and w.inverse().compose(w).window == (1, 2)
 

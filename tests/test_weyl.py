@@ -71,6 +71,31 @@ def test_exhaustive_action_law_r2():
                 assert w1.compose(w2).apply(t, n) == w2.apply(w1.apply(t, n), n)
 
 
+def test_value_action_is_the_place_action_read_on_z():
+    # (sigma, eps) is the affine permutation W(k) = sigma(k) + r*eps_k of Z;
+    # the place action t.w is T o W with T(k + r*q) = t_k + n*q
+    rng = random.Random(18)
+    for _ in range(300):
+        r, n = rng.randint(1, 5), rng.randint(1, 5)
+        w, v = (AffineWeylElement(rng.choice(all_perms(r)),
+                                  [rng.randint(-2, 2) for _ in range(r)])
+                for _ in range(2))
+        t = [rng.randint(-6, 6) for _ in range(r)]
+
+        def T(z):
+            return t[bar(z, r) - 1] + n * ((z - bar(z, r)) // r)
+
+        assert w.apply(t, n) == tuple(T(w(k)) for k in range(1, r + 1))
+        assert AffineWeylElement.from_window(w.window) == w
+        for z in range(-2 * r, 2 * r + 1):
+            assert w.compose(v)(z) == w(v(z))
+            assert w.inverse()(w(z)) == z
+    assert AffineWeylElement.rho(3).window == (0, 1, 2)
+    assert AffineWeylElement.s(3, 1).window == (2, 1, 3)
+    assert AffineWeylElement.s(3, 3).window == (0, 2, 4)
+    assert AffineWeylElement.s(1, 1).window == (0,)
+
+
 def test_stabilizer_examples():
     assert stabilizer((1, 1, 2), 2) == ((1, 2), (3,))
     assert stabilizer((1, 2, 3), 3) == ((1,), (2,), (3,))
