@@ -3,8 +3,9 @@
 Canonical orbit basis with three independently implemented multiplication
 engines (double-coset formula, middle-tuple counting, tensor-action
 reconstruction), the full suite of algebra homomorphisms between Schur
-algebras, periodic-matrix semigroups with evaluation maps, loop-algebra
-generator images with constructive decompositions, and the transfer-operator
+algebras, periodic-matrix semigroups with evaluation maps, the loop algebra
+acting through the same periodic matrices with constructive decompositions of
+basis elements over its generators, and the transfer-operator
 calculus underpinning the product formula.  All arithmetic is exact over the
 rationals with one formal parameter.
 
@@ -39,7 +40,7 @@ _EXPORTS = {
         "nonvanishing_witness",
         "weyl_conjugate",
     ),
-    "looplie": ("LoopGenerator", "decompose_x", "decompose_y", "generator_set", "pi_tilde"),
+    "looplie": ("decompose_x", "decompose_y", "generator_set", "pi_tilde"),
     "weyl": ("AffineWeylElement", "affine_matchings"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

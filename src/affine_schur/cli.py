@@ -147,7 +147,10 @@ def cmd_hom(args):
     from .weyl import AffineWeylElement
 
     el = _element_from_arg(args.element, args.n)
-    window = _parse_window(args.window) if args.window else None
+    if args.window is not None and args.kind != "weyl":
+        raise UserError("--window is for --kind weyl only")
+    if args.s is not None and args.kind != "psi_as":
+        raise UserError("--s is for --kind psi_as only")
     if args.kind == "psi_as":
         if args.s is None:
             raise UserError("psi_as needs --s")
@@ -159,8 +162,9 @@ def cmd_hom(args):
     elif args.kind == "det_star":
         out = homs.det_star(el)
     elif args.kind == "weyl":
-        if window is None:
+        if not args.window:
             raise UserError("weyl needs --window")
+        window = _parse_window(args.window)
         out = schur.weyl_act(AffineWeylElement.from_window(window), el)
     else:
         out = schur.transpose_antiauto(el)
@@ -209,9 +213,12 @@ def cmd_det(args):
 
 
 def cmd_lie(args):
-    from .looplie import LoopGenerator, pi_tilde
+    from .looplie import pi_tilde
+    from .semigroup import PeriodicMatrix
 
-    out = pi_tilde(LoopGenerator(args.n, args.s, args.t), args.r)
+    if not 1 <= args.s <= args.n:  # PeriodicMatrix would shift the row into 1..n
+        raise UserError("row must be in {1..%d}, got %d" % (args.n, args.s))
+    out = pi_tilde(PeriodicMatrix.unit(args.n, args.s, args.t), args.r)
     _emit_element(out, args)
     return 0
 
@@ -346,9 +353,10 @@ def build_parser():
     p = sub.add_parser("weyl", help="apply a Weyl symmetry")
     p.add_argument("element", default="-", nargs="?")
     p.add_argument("-n", type=int)
-    p.add_argument("--window")
-    p.add_argument("--rho", action="store_true")
-    p.add_argument("--si", type=int)
+    symmetry = p.add_mutually_exclusive_group()
+    symmetry.add_argument("--window")
+    symmetry.add_argument("--rho", action="store_true")
+    symmetry.add_argument("--si", type=int)
     p.add_argument("--text", action="store_true")
     p.add_argument("--spec-a", dest="spec_a")
     p.set_defaults(fn=cmd_weyl)

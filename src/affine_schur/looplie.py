@@ -1,10 +1,13 @@
-"""Loop-algebra generators, their images in the algebra, bracket
-compatibility, generating sets, and the constructive decomposition of basis
-elements into products of generators.
+"""The loop algebra in the degree-r algebra: the linear map ``pi_tilde``,
+bracket compatibility, generating sets, and the constructive decomposition of
+basis elements into products of generators.
 
-The image of an elementary loop matrix appends its (row, column) pair to every
-diagonal label of one degree lower; diagonal generators act by occurrence
-counts.  Decomposition over the index-at-most-one generating set follows an
+The loop algebra acts through ``semigroup.PeriodicMatrix``, the matrices that
+``semigroup.evaluate`` also takes: ``pi_tilde`` is linear in the matrix, and
+the bracket is the commutator of the matrix product.  The image of an
+elementary matrix E_{s,t} appends its (row, column) pair to every diagonal
+label of one degree lower; diagonal units act by occurrence counts.
+Decomposition over the index-at-most-one generating set follows an
 induction on the number of moved coordinates: split at a moved position,
 multiply the two lower-index factors, and solve for the target using the
 nonzero leading coefficient.  Every decomposition is re-multiplied and checked
@@ -23,7 +26,6 @@ from functools import lru_cache
 
 from .combination import accumulate
 from .expr import Node, _eval_element, atom, map_atoms, scaled
-from .laurent import Laurent
 from .schur import (
     AlgebraElement,
     canonicalize,
@@ -32,87 +34,42 @@ from .schur import (
     multiply,
     structure_constants,
 )
-from .semigroup import PeriodicMatrix, matrix_mul
 from .weyl import bar, weakly_increasing_tuples
 
 
-class LoopGenerator:
-    """An elementary loop matrix with row in {1..n} and integer column."""
-
-    __slots__ = ("n", "row", "col")
-
-    def __init__(self, n, row, col):
-        if not 1 <= row <= n:
-            raise ValueError("row must be in {1..%d}, got %d" % (n, row))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "row", int(row))
-        object.__setattr__(self, "col", int(col))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
-    def matrix(self):
-        """``PeriodicMatrix.unit(n, row, col)``; the row is already in 1..n."""
-        key = (self.row, self.col)
-        return PeriodicMatrix._from_items((self.n,), ((key, Laurent.one()),))
-
-    def __repr__(self):
-        return "E[%d,%d]" % (self.row, self.col)
-
-    def __eq__(self, other):
-        return isinstance(other, LoopGenerator) and (
-            self.n,
-            self.row,
-            self.col,
-        ) == (other.n, other.row, other.col)
-
-    def __hash__(self):
-        return hash((self.n, self.row, self.col))
-
-
 @lru_cache(maxsize=None)
-def pi_tilde(gen, r):
-    """The image of an elementary loop matrix in the degree-r algebra.
+def pi_tilde(m, r):
+    """The image of a periodic matrix in the degree-r algebra, linear in m.
 
-    Memoized: the bracket checks ask for the same few images again and again.
+    E_{s,t} with s != t goes to the sum of the diagonal labels of degree
+    r - 1 with the pair (s, t) appended; E_{s,s} goes to the sum of the
+    diagonal labels of degree r, each as often as s occurs in it.  Memoized
+    on (m, r): the bracket checks ask for the same few images again and again.
     """
     if r < 1:
         raise ValueError("the degree r must be at least 1, got %d" % r)
-    n, s, t = gen.n, gen.row, gen.col
-    terms = {}
-    if s == t:
-        for i in weakly_increasing_tuples(n, r):
-            count = sum(1 for v in i if v == s)
-            if count:
-                pairs = tuple((v, v) for v in i)
-                terms[pairs] = Laurent.const(count)
-    else:
-        for i in weakly_increasing_tuples(n, r - 1):
-            pairs = canonicalize(i + (s,), i + (t,), n)
-            terms[pairs] = Laurent.one()
-    return AlgebraElement._from_items((n, r), terms.items())
+    n = m.n
+
+    def items():
+        for (s, t), v in m.terms.items():
+            if s == t:
+                for i in weakly_increasing_tuples(n, r):
+                    count = i.count(s)
+                    if count:
+                        yield tuple((u, u) for u in i), v * count
+            else:
+                for i in weakly_increasing_tuples(n, r - 1):
+                    yield canonicalize(i + (s,), i + (t,), n), v
+
+    return AlgebraElement._from_items((n, r), items())
 
 
-def pi_tilde_matrix(m, r):
-    """Linear extension of the generator images to a periodic matrix."""
-    context = AlgebraElement.zero(m.n, r).context  # checks r, also for m = 0
-    return AlgebraElement._from_items(context, (
-        (pairs, v * c)
-        for (i, j), v in m.terms.items()
-        for pairs, c in pi_tilde(LoopGenerator(m.n, i, j), r).terms.items()
-    ))
-
-
-def lie_bracket_check(g1, g2, r):
-    """Whether the bracket of two generators maps to the commutator of images."""
-    if g1.n != g2.n:
-        raise ValueError("generators of different periods %d and %d" % (g1.n, g2.n))
-    m1, m2 = g1.matrix(), g2.matrix()
-    bracket = matrix_mul(m1, m2) - matrix_mul(m2, m1)
-    lhs = pi_tilde_matrix(bracket, r)
-    p1, p2 = pi_tilde(g1, r), pi_tilde(g2, r)
-    rhs = multiply(p1, p2) - multiply(p2, p1)
-    return lhs == rhs
+def lie_bracket_check(x, y, r):
+    """Whether the bracket xy - yx of two periodic matrices maps to the
+    commutator of their images; matrices of two periods raise ``ValueError``."""
+    bracket = x * y - y * x
+    px, py = pi_tilde(x, r), pi_tilde(y, r)
+    return pi_tilde(bracket, r) == multiply(px, py) - multiply(py, px)
 
 
 def generator_set(kind, n, r, window=1):

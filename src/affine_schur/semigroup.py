@@ -48,8 +48,7 @@ class PeriodicMatrix(Combination):
         return cls(n, {(i, j): coeff})
 
     def entry(self, i, j):
-        row = bar(i, self.n)
-        return self.terms.get((row, j + row - i), Laurent.zero())
+        return self.terms.get(self._key((i, j)), Laurent.zero())
 
     def __mul__(self, other):
         if isinstance(other, PeriodicMatrix):

@@ -601,47 +601,50 @@ def _generator_cases(ts):
 
 
 def _det_transfer_failure(case):
-    from .looplie import LoopGenerator, pi_tilde
+    from .looplie import pi_tilde
+    from .semigroup import PeriodicMatrix
 
     n, r, s, t = case
-    gen = LoopGenerator(n, s, t)
-    if det_tilde_sharp(pi_tilde(gen, n + r)) == pi_tilde(gen, r):
+    m = PeriodicMatrix.unit(n, s, t)
+    if det_tilde_sharp(pi_tilde(m, n + r)) == pi_tilde(m, r):
         return None
     return {"n": n, "r": r, "s": s, "t": t}
 
 
 def _collapse_failure(case):
     """psi_a(pi(E_st)) = pi(eta_a(E_st))."""
-    from .looplie import LoopGenerator, pi_tilde, pi_tilde_matrix
-    from .semigroup import eta_as
+    from .looplie import pi_tilde
+    from .semigroup import PeriodicMatrix, eta_as
 
     n, r, s, t = case
-    gen = LoopGenerator(n, s, t)
-    if psi_a(pi_tilde(gen, r)) == pi_tilde_matrix(eta_as(gen.matrix(), 0), r):
+    m = PeriodicMatrix.unit(n, s, t)
+    if psi_a(pi_tilde(m, r)) == pi_tilde(eta_as(m, 0), r):
         return None
     return {"n": n, "s": s, "t": t, "r": r}
 
 
 def _centralize_failure(case):
-    from .looplie import LoopGenerator, pi_tilde
+    from .looplie import pi_tilde
+    from .semigroup import PeriodicMatrix
     from .tensor import act, weyl_right_act
 
     n, s, t, v, w = case
-    x = pi_tilde(LoopGenerator(n, s, t), 2)
+    x = pi_tilde(PeriodicMatrix.unit(n, s, t), 2)
     if weyl_right_act(act(x, v), w) == act(x, weyl_right_act(v, w)):
         return None
     return {"n": n, "s": s, "t": t}
 
 
 def suite_lie(offset=2, seed=20240606):
-    from .looplie import LoopGenerator, lie_bracket_check
+    from .looplie import lie_bracket_check
+    from .semigroup import PeriodicMatrix
     from .tensor import TensorVector
 
     rng = random.Random(seed)
     checks = []
     for n in (2, 3):
         rows, offsets = range(1, n + 1), range(-offset, offset + 1)
-        gens = [LoopGenerator(n, s, res + n * e)
+        gens = [PeriodicMatrix.unit(n, s, res + n * e)
                 for s, res, e in itertools.product(rows, rows, offsets)]
         checks += [
             _check("bracket-n%d-r%d" % (n, r), itertools.product(gens, repeat=2),

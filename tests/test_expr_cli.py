@@ -481,6 +481,27 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             "",
             "suite generators takes no parameter seed; it takes window\n",
         ),
+        # an option the kind or the symmetry does not read
+        (
+            ["hom", "apply", "--kind", "psi_a", "--window", "x"],
+            '{"n":1,"r":1,"terms":[]}',
+            "--window is for --kind weyl only\n",
+        ),
+        (
+            ["hom", "apply", "--kind", "transpose", "--window", "(1,1)"],
+            '{"n":1,"r":1,"terms":[]}',
+            "--window is for --kind weyl only\n",
+        ),
+        (
+            ["hom", "apply", "--kind", "psi_a", "--s", "3"],
+            '{"n":1,"r":1,"terms":[]}',
+            "--s is for --kind psi_as only\n",
+        ),
+        (
+            ["weyl", "-", "--rho", "--window", "x"],
+            '{"n":1,"r":1,"terms":[]}',
+            "argument --window: not allowed with argument --rho\n",
+        ),
         # a zero denominator, in expression text and in a rational flag
         (["multiply", "-n", "1", "1/0*xi[(1)|(2)]"], "", "zero denominator at column 3\n"),
         (
@@ -516,7 +537,10 @@ def test_invalid_input_exits_one_under_optimize(argv):
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: " + path)
+    err = proc.stderr
+    if err.startswith("usage: "):  # an argument error prints the usage first
+        err = err[err.index("\nerror: ") + 1:]
+    assert err.startswith("error: " + path)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +571,8 @@ def test_cli_witness_for_a_binomial_under_optimize(flags, entries):
 _LIBRARY_CHECKS = """
 from affine_schur.dual import phi_as_map, sharp_compose_check
 from affine_schur.laurent import Laurent
-from affine_schur.looplie import LoopGenerator, lie_bracket_check
+from affine_schur.looplie import lie_bracket_check
+from affine_schur.semigroup import PeriodicMatrix
 from affine_schur.transfer import OperatorSum, mackey_product, zero_shift
 from affine_schur.weyl import AffineWeylElement, all_perms, young_subgroup
 
@@ -565,7 +590,8 @@ for call in (
     lambda: phi_as_map(1, 0).apply(((1, 2),)),
     lambda: Laurent.gen(1).constant_value(),
     lambda: Laurent.gen(1) ** -1,
-    lambda: lie_bracket_check(LoopGenerator(1, 1, 2), LoopGenerator(2, 1, 2), 1),
+    lambda: lie_bracket_check(
+        PeriodicMatrix.unit(1, 1, 2), PeriodicMatrix.unit(2, 1, 2), 1),
     lambda: AffineWeylElement((1, 1), (0,)),
     lambda: AffineWeylElement((2, 1), (0,)),
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
@@ -601,7 +627,7 @@ def test_library_checks_raise_under_optimize():
         "ValueError: the offset multiplier s must be nonzero",
         "ValueError: not a constant: a",
         "ValueError: exponent must be an integer >= 0, got -1",
-        "ValueError: generators of different periods 1 and 2",
+        "ValueError: context mismatch: (1,) vs (2,)",
         "ValueError: sigma must be a permutation of 1..2, got (1, 1)",
         "ValueError: eps has 1 entries, sigma has 2",
         "ValueError: cannot compose ranks 1 and 2",

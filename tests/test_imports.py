@@ -44,7 +44,7 @@ _BASE = {"cli", "combination", "laurent", "weyl"}
         (
             ["decompose", "--index", "[(1,1)|(2,2)]", "--n", "2"],
             "",
-            {"expr", "looplie", "schur", "semigroup"},
+            {"expr", "looplie", "schur"},
         ),
         (["verify", "hom-laws"], "", {"verify", "schur", "homs"}),
     ],

@@ -7,27 +7,28 @@ from affine_schur import expr
 from affine_schur.dual import multiply_schur_oracle
 from affine_schur.schur import AlgebraElement, basis_indices
 from affine_schur.homs import det_tilde_sharp, psi_a
+from affine_schur.laurent import Laurent
 from affine_schur.looplie import (
-    LoopGenerator,
     decompose_x,
     decompose_y,
     generator_set,
     label_index,
     lie_bracket_check,
     pi_tilde,
-    pi_tilde_matrix,
 )
 from affine_schur.semigroup import PeriodicMatrix, eta_as
 
+E = PeriodicMatrix.unit  # the periodic elementary matrix E_{s,t}
+
 
 def test_pi_tilde_examples():
-    assert pi_tilde(LoopGenerator(2, 1, 2), 2) == AlgebraElement.basis(
+    assert pi_tilde(E(2, 1, 2), 2) == AlgebraElement.basis(
         2, (1, 1), (1, 2)
     ) + AlgebraElement.basis(2, (1, 2), (2, 2))
-    assert pi_tilde(LoopGenerator(2, 1, 1), 2) == AlgebraElement.basis(
+    assert pi_tilde(E(2, 1, 1), 2) == AlgebraElement.basis(
         2, (1, 1), (1, 1), 2
     ) + AlgebraElement.basis(2, (1, 2), (1, 2))
-    assert pi_tilde(LoopGenerator(2, 1, 3), 1) == AlgebraElement.basis(2, (1,), (3,))
+    assert pi_tilde(E(2, 1, 3), 1) == AlgebraElement.basis(2, (1,), (3,))
 
 
 def test_pi_tilde_finite_restriction():
@@ -35,59 +36,99 @@ def test_pi_tilde_finite_restriction():
     for n in (2, 3):
         for s in range(1, n + 1):
             for t in range(1, n + 1):
-                img = pi_tilde(LoopGenerator(n, s, t), 2)
+                img = pi_tilde(E(n, s, t), 2)
                 assert img.is_finite_support()
                 assert psi_a(img) == img
 
 
 def test_pi_tilde_is_memoized():
-    gens = [
-        LoopGenerator(n, s, t)
+    units = [
+        (n, s, t)
         for n in (1, 2, 3)
         for s in range(1, n + 1)
         for t in (s, s + 1, s - n - 1, s + 2 * n)
     ]
     cached = {}
-    for gen in gens:
+    for n, s, t in units:
         for r in (1, 2, 3):
-            cached[gen, r] = pi_tilde(gen, r)
+            cached[E(n, s, t), r] = pi_tilde(E(n, s, t), r)
             before = pi_tilde.cache_info()
-            assert pi_tilde(LoopGenerator(gen.n, gen.row, gen.col), r) is cached[gen, r]
+            assert pi_tilde(E(n, s, t), r) is cached[E(n, s, t), r]
             after = pi_tilde.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     pi_tilde.cache_clear()
-    for (gen, r), image in cached.items():
-        assert pi_tilde(gen, r) == image
+    for (m, r), image in cached.items():
+        assert pi_tilde(m, r) == image
 
 
 def test_pi_tilde_rejects_degree_zero_every_time():
-    gen = LoopGenerator(2, 1, 2)
-    for _ in range(3):
-        with pytest.raises(ValueError, match="at least 1"):
-            pi_tilde(gen, 0)
-
-
-def test_generator_matrix_is_the_unit_matrix():
-    for n in (1, 2, 3):
-        for s in range(1, n + 1):
-            for t in range(-2 * n, 3 * n + 1):
-                assert LoopGenerator(n, s, t).matrix() == PeriodicMatrix.unit(n, s, t)
+    for m in (E(2, 1, 2), PeriodicMatrix.zero(2)):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="at least 1"):
+                pi_tilde(m, 0)
 
 
 def test_bracket_examples():
-    assert lie_bracket_check(LoopGenerator(2, 1, 2), LoopGenerator(2, 2, 1), 2)
-    assert lie_bracket_check(LoopGenerator(2, 1, 2), LoopGenerator(2, 1, 2), 2)
-    assert lie_bracket_check(LoopGenerator(2, 1, 4), LoopGenerator(2, 2, 1), 2)
+    assert lie_bracket_check(E(2, 1, 2), E(2, 2, 1), 2)
+    assert lie_bracket_check(E(2, 1, 2), E(2, 1, 2), 2)
+    assert lie_bracket_check(E(2, 1, 4), E(2, 2, 1), 2)
 
 
 def test_bracket_random_offsets():
     rng = random.Random(29)
     for _ in range(40):
         n = rng.choice((2, 3))
-        g1 = LoopGenerator(n, rng.randint(1, n), rng.randint(1 - n, 3 * n))
-        g2 = LoopGenerator(n, rng.randint(1, n), rng.randint(1 - n, 3 * n))
+        g1 = E(n, rng.randint(1, n), rng.randint(1 - n, 3 * n))
+        g2 = E(n, rng.randint(1, n), rng.randint(1 - n, 3 * n))
         r = rng.randint(1, 3)
         assert lie_bracket_check(g1, g2, r)
+
+
+def _laurent_matrix(rng, n):
+    """A seeded periodic matrix of two or three terms with Laurent entries."""
+    entries = {}
+    for _ in range(rng.randint(2, 3)):
+        s = rng.randint(1, n)
+        t = rng.choice((s, rng.randint(s - 2 * n, s + 2 * n)))
+        entries[s, t] = Laurent({rng.randint(-1, 1): rng.choice((1, -2, Fraction(1, 3)))})
+    return PeriodicMatrix(n, entries)
+
+
+def _laurent_cases(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            for _ in range(4):
+                yield n, r, _laurent_matrix(rng, n), _laurent_matrix(rng, n)
+
+
+def test_pi_tilde_is_linear():
+    scalars = (Laurent.const(2), Laurent({1: 1, -1: Fraction(-1, 2)}), Laurent.const(-1))
+    for k, (n, r, x, y) in enumerate(_laurent_cases(31)):
+        c = scalars[k % len(scalars)]
+        assert pi_tilde(x + y.scale(c), r) == pi_tilde(x, r) + pi_tilde(y, r).scale(c)
+
+
+def test_pi_tilde_reads_the_unit_on_its_orbit():
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            for s in range(1, n + 1):
+                for t in range(s - 2 * n, s + 2 * n + 1):
+                    for k in (-1, 1, 2):
+                        shifted = E(n, s + k * n, t + k * n)
+                        assert pi_tilde(shifted, r) == pi_tilde(E(n, s, t), r)
+
+
+def test_bracket_on_laurent_matrices():
+    for n, r, x, y in _laurent_cases(37):
+        assert lie_bracket_check(x, y, r)
+
+
+def test_bracket_of_two_periods_raises():
+    with pytest.raises(ValueError, match="context mismatch"):
+        lie_bracket_check(E(1, 1, 2), E(2, 1, 2), 1)
+    with pytest.raises(ValueError, match="context mismatch"):
+        lie_bracket_check(PeriodicMatrix.identity(3), E(2, 2, 2), 2)
 
 
 def test_det_transfer_of_generators():
@@ -95,16 +136,16 @@ def test_det_transfer_of_generators():
         for r in (1, 2):
             for s in range(1, n + 1):
                 for t in (s + 1, s - 1):
-                    lhs = det_tilde_sharp(pi_tilde(LoopGenerator(n, s, t), n + r))
-                    assert lhs == pi_tilde(LoopGenerator(n, s, t), r)
+                    lhs = det_tilde_sharp(pi_tilde(E(n, s, t), n + r))
+                    assert lhs == pi_tilde(E(n, s, t), r)
 
 
 def test_collapse_of_generator_images():
     for n in (2, 3):
         for s in range(1, n + 1):
             for t in range(s - 2 * n, s + 2 * n + 1):
-                lhs = psi_a(pi_tilde(LoopGenerator(n, s, t), 2))
-                rhs = pi_tilde_matrix(eta_as(LoopGenerator(n, s, t).matrix(), 0), 2)
+                lhs = psi_a(pi_tilde(E(n, s, t), 2))
+                rhs = pi_tilde(eta_as(E(n, s, t), 0), 2)
                 assert lhs == rhs
 
 
