@@ -422,8 +422,16 @@ def main(argv=None):
     cache_path = args.cache or os.environ.get(_CACHE_ENV_VAR)
     try:
         if cache_path and args.command != "cache":
-            return _run_cached(args, cache_path)
-        return args.fn(args)
+            code = _run_cached(args, cache_path)
+        else:
+            code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has exited and reports its own error.  Python
+        # flushes stdout again at exit, so devnull goes over it first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UserError, ValueError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 1

@@ -6,12 +6,14 @@ all finitely supported maps from keys to nonzero coefficients, inside a
 context such as the period n and the degree r.  ``Combination`` holds what
 they share: equality, hashing, addition, negation and scaling.
 
-There are two constructors.  The public one is for input from outside the
-program: it normalizes or rejects every key, coerces every coefficient, and
-raises ``ValueError`` on malformed input, also under ``python -O``.
-``_from_items`` is for results computed inside the package whose keys are
-already normal and whose coefficients are already coerced: it only adds the
-coefficients of equal keys and drops the zero sums.
+The public constructor is for input from outside the program: it normalizes
+or rejects every key, coerces every coefficient, and raises ``ValueError`` on
+malformed input, also under ``python -O``.  The two trusted constructors are
+for results computed inside the package whose keys are already normal and
+whose coefficients are already coerced.  ``_from_items`` only adds the
+coefficients of equal keys and drops the zero sums.  ``_trusted`` takes a
+finished dict with no zero coefficient and checks nothing: ``schur.multiply``
+sums its coefficients itself and builds its product through it.
 
 ``read`` is the one shape check for JSON input: every ``from_json`` and every
 JSON document the command line reads goes through it.
@@ -131,12 +133,19 @@ class Combination:
         )
 
     @classmethod
-    def _from_items(cls, context, items):
-        """The trusted constructor: normal keys and coerced coefficients only."""
+    def _trusted(cls, context, terms):
+        """The trusted constructor for finished terms: a dict of normal keys to
+        nonzero coerced coefficients, owned by the result."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "terms", accumulate(items))
+        object.__setattr__(self, "terms", terms)
         return self
+
+    @classmethod
+    def _from_items(cls, context, items):
+        """The trusted constructor for (key, coeff) items: normal keys and
+        coerced coefficients only; equal keys are added."""
+        return cls._trusted(context, accumulate(items))
 
     @staticmethod
     def _coeff(c):

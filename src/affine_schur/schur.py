@@ -22,13 +22,12 @@ It never lists the group, so there is no rank cap; the brute-force
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
 from .combination import Combination, checked_int, read
-from .laurent import Laurent
+from .laurent import Laurent, _normal
 from .weyl import bar, bar_tuple, tuple_orbit_rep, weakly_increasing_tuples
 
 
@@ -59,7 +58,7 @@ def index_bottoms(pairs):
 def split_offsets(pairs, n):
     """Write the bottoms as j + n*eps with j in I(n,r); returns (j, eps).
 
-    Memoized: the product engines split the same labels over and over.
+    Memoized: the homomorphisms in ``homs`` split the same labels over and over.
     """
     bottoms = index_bottoms(pairs)
     j = bar_tuple(bottoms, n)
@@ -139,7 +138,11 @@ def _green_product(x_pairs, y_pairs, n):
     A table M of block c adds M[a][b] copies of (i_a, l_b + n*(eps_a +
     eps'_b)); its coefficient is prod(output multiplicity)! / prod M[a][b]!.
 
-    The tables are built row type by row type, and partial tables are merged
+    The rows of block c are the left label's pairs (i_a, c + n*eps_a) and
+    its columns the right label's pairs (c, l_b + n*eps'_b), read from the
+    per-label memos ``_row_types`` and ``_column_types``, so the output pair
+    is the column's bottom shifted by n*eps_a.  The tables are built row
+    type by row type, and partial tables are merged
     by their state: the remaining column capacities of the current block and
     the output multiset, packed into one int with a base-(r+1) digit per
     output pair.  A state's weight is the sum, over the partial tables that
@@ -153,15 +156,10 @@ def _green_product(x_pairs, y_pairs, n):
     are all of one total, so none is a prefix of another.
     ``looplie.decompose_y`` builds its trees in this order.
     """
-    i, (j, eps) = index_tops(x_pairs), split_offsets(x_pairs, n)
-    k, (l, eps2) = index_tops(y_pairs), split_offsets(y_pairs, n)
-    if sorted(j) != sorted(k):
+    middle, rows = _row_types(x_pairs, n)
+    tops, cols = _column_types(y_pairs)
+    if middle != tops:
         return {}
-    rows, cols = defaultdict(Counter), defaultdict(Counter)
-    for c, top, e in zip(j, i, eps):
-        rows[c][top, e] += 1
-    for c, res, e in zip(k, l, eps2):
-        cols[c][res, e] += 1
 
     base = len(x_pairs) + 1
     fact = [factorial(m) for m in range(base)]
@@ -169,12 +167,14 @@ def _green_product(x_pairs, y_pairs, n):
     denom = 1
     states = {((), 0): 1}  # (capacities left, packed outputs) -> weight
     for c, row_types in rows.items():
-        caps = tuple(cols[c].values())
+        col_types = cols[c]
+        caps = tuple(col_types.values())
         states = {(caps, packed): w for (_, packed), w in states.items()}
-        for (top, e), need in row_types.items():
+        for (top, bottom), need in row_types.items():
+            shift = bottom - c  # n * eps_a
             places = [
-                place.setdefault((top, res + n * (e + e2)), base ** len(place))
-                for res, e2 in cols[c]
+                place.setdefault((top, l + shift), base ** len(place))
+                for _, l in col_types
             ]
             moves = {}
             after = {}
@@ -208,6 +208,40 @@ def _green_product(x_pairs, y_pairs, n):
             )
         out[tuple(label)] = coeff
     return out
+
+
+@lru_cache(maxsize=None)
+def _row_types(pairs, n):
+    """A label's row types as the left factor of Green's product.
+
+    Returns (its sorted bottom residues, {bottom residue c: {pair: count}}):
+    the label's own (top, c + n*offset) pairs grouped by c, both levels in
+    label order, as ``split_offsets`` lists them.  Memoized per label, so the
+    dicts are shared and only read.  They hold the label's own pair tuples,
+    so an entry adds few objects for the garbage collector to track.
+    """
+    residues, rows = [], {}
+    for pair in pairs:
+        c = bar(pair[1], n)
+        residues.append(c)
+        row = rows.setdefault(c, {})
+        row[pair] = row.get(pair, 0) + 1
+    return tuple(sorted(residues)), rows
+
+
+@lru_cache(maxsize=None)
+def _column_types(pairs):
+    """A label's column types as the right factor of Green's product.
+
+    Returns (its sorted tops, {top c: {pair: count}}): the label's own pairs
+    grouped by top, both levels in label order; memoized and only read, as
+    ``_row_types`` is.
+    """
+    cols = {}
+    for pair in pairs:
+        col = cols.setdefault(pair[0], {})
+        col[pair] = col.get(pair, 0) + 1
+    return tuple(sorted(index_tops(pairs))), cols
 
 
 @lru_cache(maxsize=None)
@@ -372,22 +406,42 @@ def multiply(x, y):
     xi_x * xi_y is zero unless the bottom residues of x are the tops of y as
     multisets.  The terms of y are grouped once by their tops, so each term of
     x meets only its composable partners, and only composable pairs reach
-    ``structure_constants``.
+    ``structure_constants``.  The sorted bottom residues of a term of x and
+    the sorted tops of a term of y are read from the per-label memos
+    ``_row_types`` and ``_column_types``.  Each output label's
+    coefficient is summed as a raw {exponent: int or Fraction} dict, which
+    becomes that label's one ``Laurent`` at the end, normalized in place.  As
+    ``combination.accumulate`` does, labels keep the order in which they
+    first appear, and zero sums are dropped.
     """
     x._check_context(y)
     n = x.n
     by_tops = {}
     for yp, yc in y.terms.items():
-        by_tops.setdefault(index_tops(yp), []).append((yp, yc))
-
-    def items():
-        for xp, xc in x.terms.items():
-            for yp, yc in by_tops.get(tuple(sorted(split_offsets(xp, n)[0])), ()):
-                coeff = xc * yc
-                for pairs, z in structure_constants(xp, yp, n).items():
-                    yield pairs, coeff * z
-
-    return AlgebraElement._from_items(x.context, items())
+        by_tops.setdefault(_column_types(yp)[0], []).append((yp, yc.terms.items()))
+    sums = {}  # output label -> {exponent: raw coefficient}
+    for xp, xc in x.terms.items():
+        for yp, y_coeffs in by_tops.get(_row_types(xp, n)[0], ()):
+            coeff = {}
+            for e1, c1 in xc.terms.items():
+                for e2, c2 in y_coeffs:
+                    coeff[e1 + e2] = coeff.get(e1 + e2, 0) + c1 * c2
+            for pairs, z in structure_constants(xp, yp, n).items():
+                acc = sums.get(pairs)
+                if acc is None:
+                    acc = sums[pairs] = {}
+                for e, c in coeff.items():
+                    acc[e] = acc.get(e, 0) + c * z
+    terms = {}
+    for pairs, acc in sums.items():
+        for e, c in acc.items():
+            if type(c) is not int:
+                acc[e] = _normal(c)
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            terms[pairs] = Laurent._trusted(acc)
+    return AlgebraElement._trusted(x.context, terms)
 
 
 def identity(n, r):

@@ -735,3 +735,22 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "xi[(1)|(3)]"
+
+
+def test_closed_stdout_is_not_reported_as_an_error():
+    # a later pipeline stage that exits early closes the pipe; the stage
+    # before it prints no error of its own and exits 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "affine_schur.cli", "multiply", "-n", "2",
+             "xi[(1,2)|(1,4)]"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import random
 from collections import Counter, defaultdict
+from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
 
@@ -159,6 +160,44 @@ def test_multiply_looks_up_only_composable_pairs(n):
             assert after.hits + after.misses == before.hits + before.misses + composable
             assert product == multiply_schur_oracle(x, y) == multiply_via_action(x, y)
         assert mixed, "no sampled product mixed composable and non-composable pairs"
+
+
+_VALUES = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2))
+
+
+def _several_exponents(rng, scale=1):
+    """A seeded Laurent coefficient with one to three exponents and some
+    Fraction values."""
+    exps = rng.sample(range(-2, 3), rng.randint(1, 3))
+    return Laurent({e: scale * rng.choice(_VALUES) for e in exps})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multiply_matches_the_generic_bilinear_path(n):
+    # x = p E_i + p A + c/2, y = p A - p E_j + 2d, with A from i to j and the
+    # idempotents E_i, E_j: E_i A and A (-E_j) cancel on the label A exactly
+    rng = random.Random("bilinear:%d" % n)
+    cancelled = 0
+    for r in range(1, 5):
+        for _ in range(8):
+            a, _ = _seeded_composable(rng, n, r)
+            c, d = _seeded_composable(rng, n, r)
+            e_i = tuple((t, t) for t in index_tops(a))
+            e_j = tuple((v, v) for v in sorted(split_offsets(a, n)[0]))
+            p = _several_exponents(rng)
+            x = AlgebraElement(n, r, [(e_i, p), (a, p), (c, _several_exponents(rng, Fraction(1, 2)))])
+            y = AlgebraElement(n, r, [(a, p), (e_j, -p), (d, _several_exponents(rng, 2))])
+            got = multiply(x, y)
+            want = schur.bilinear(x, y, structure_constants)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            cancelled += a not in got.terms
+            for coeff in got.terms.values():
+                assert coeff, "a zero-sum label is stored"
+                for value in coeff.terms.values():
+                    assert value != 0
+                    assert type(value) is int or value.denominator != 1, value
+    assert cancelled
 
 
 def test_structure_constants_positive_integers():
