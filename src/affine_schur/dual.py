@@ -25,7 +25,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import affine_matchings, all_perms, perm_sign
+from .weyl import affine_images, all_perms, perm_sign
 
 
 def pair(xi_pairs, c_pairs):
@@ -48,9 +48,9 @@ def delta_pair(x_pairs, y_pairs, c_pairs, n):
 
 
 def _middles_matching(x_pairs, p, n):
-    """Distinct s with (p, s) in the orbit of x, for p a permutation of x's tops."""
-    j = index_bottoms(x_pairs)
-    return {w.apply(j, n) for w in affine_matchings(index_tops(x_pairs), p, n)}
+    """Distinct s with (p, s) in the orbit of x = (i, j), p a permutation of i:
+    s = j.w for a w with i.w = p, so s_k = p_k + j_m - i_m when w sends k to m."""
+    return set(affine_images(index_tops(x_pairs), p, index_bottoms(x_pairs), n))
 
 
 def multiply_schur_oracle(x, y):
@@ -70,8 +70,8 @@ def _schur_basis_product(x_pairs, y_pairs, n):
     # middle s, every alignment w of the second factor onto s produces one.
     candidates = set()
     for s in middles:
-        for w in affine_matchings(k, s, n):
-            candidates.add(canonicalize(i, w.apply(l, n), n))
+        for bottom in affine_images(k, s, l, n):
+            candidates.add(canonicalize(i, bottom, n))
 
     out = {}
     for cand in candidates:

@@ -1,18 +1,19 @@
 """The faithful action on the infinite tensor space and the multiplication
 oracle it yields.
 
-A basis element acts on a tensor basis vector v_u through the affine Weyl
-elements w with (bottom tuple).w = u: it emits v_{(top tuple).w} for each,
-counted once per w and divided by the order of the pair stabilizer, which
-permutes those w without moving the image.  Products are reconstructed from
-the composite action on one representative per middle-tuple orbit; a basis
-element can hit a single output vector with multiplicity, so coefficients are
-recovered by an exact division with a consistency check rather than read off.
+A basis element with top tuple i and bottom tuple b acts on a tensor basis
+vector v_u through the matchings of b onto u: a w with b.w = u sending place
+k to place p emits v_{i.w}, whose entry at place k is u_k + i_p - b_p.  Each
+image is counted once per w and divided by the order of the pair stabilizer,
+which permutes those w without moving the image.  Products are reconstructed
+from the composite action on one representative per middle-tuple orbit; a
+basis element can hit a single output vector with multiplicity, so
+coefficients are recovered by an exact integer division with a consistency
+check rather than read off.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ from .schur import (
     index_tops,
     middle_orbit_rep,
 )
-from .weyl import affine_matchings, stabilizer_order
+from .weyl import affine_images, stabilizer_order
 
 
 class TensorVector(Combination):
@@ -89,7 +90,9 @@ def _basis_action_on_tuple(pairs, u, n):
     """Action of a canonical basis element on v_u: dict {tuple: multiplicity}."""
     i = index_tops(pairs)
     b = index_bottoms(pairs)
-    counts = Counter(w.apply(i, n) for w in affine_matchings(b, u, n))
+    counts = {}
+    for image in affine_images(b, u, i, n):
+        counts[image] = counts.get(image, 0) + 1
     # The tops lie in 1..n, so the pair stabilizer is finite: it permutes
     # the positions of each repeated (top, bottom) pair.
     stab = stabilizer_order(pairs)
@@ -140,7 +143,7 @@ def _action_basis_product(x_pairs, y_pairs, n):
         for p, m2 in _basis_action_on_tuple(x_pairs, t, n).items():
             composite[p] = composite.get(p, 0) + m1 * m2
 
-    residual = {p: Fraction(m) for p, m in composite.items() if m}
+    residual = {p: m for p, m in composite.items() if m}
     out = {}
     while residual:
         p = next(iter(residual))
@@ -149,20 +152,19 @@ def _action_basis_product(x_pairs, y_pairs, n):
         mult = action.get(p)
         if not mult:
             raise ReconstructionError("candidate %s misses %s" % (cand, p))
-        z = residual[p] / mult
-        if z.denominator != 1 or z <= 0:
-            raise ReconstructionError(
-                "non-integral coefficient %s for %s" % (z, cand)
-            )
+        z, rem = divmod(residual[p], mult)
+        if rem or z <= 0:
+            raise ReconstructionError("non-integral coefficient %s for %s"
+                                      % (Fraction(residual[p], mult), cand))
         for q, m in action.items():
-            new = residual.get(q, Fraction(0)) - z * m
+            new = residual.get(q, 0) - z * m
             if new < 0:
                 raise ReconstructionError("inconsistent system at %s" % (q,))
             if new:
                 residual[q] = new
             else:
                 residual.pop(q, None)
-        out[cand] = int(z)
+        out[cand] = z
     return out
 
 

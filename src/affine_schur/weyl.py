@@ -1,11 +1,13 @@
 """The extended affine Weyl group, its action on integer tuples, and Young
 subgroup combinatorics: stabilizer partitions, meets, orders, double cosets.
 
-``affine_matchings(b, u, n)`` lists every w with b.w = u.  Such a w sends the
-positions of u with residue c onto the positions of b with residue c and its
-shifts are then forced, so the solutions are products of one bijection per
-residue class: prod m_c! of them rather than r!.  The tensor and dual product
-oracles and the affine transfer calculus all enumerate through it.
+One matching loop finds every w with b.w = u.  Such a w sends the positions
+of u with residue c onto the positions of b with residue c and its shifts are
+then forced, so the solutions are products of one bijection per residue
+class: prod m_c! of them rather than r!.  ``affine_matchings(b, u, n)``
+yields them as elements, for the affine transfer calculus;
+``affine_images(b, u, t, n)`` yields only t.w, which has u_k + t_p - b_p at
+place k when w sends k to p, for the tensor and dual product oracles.
 
 ``stabilizer_order(t)`` is the order of the group of place permutations that
 fix a tuple, prod m! over the multiplicities m of its entries; the collapse
@@ -28,7 +30,8 @@ values and on places.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+import operator
+from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
@@ -328,33 +331,51 @@ def stabilizer_order(t):
     return prod(map(factorial, Counter(t).values()))
 
 
+def _matchings(b, u, n, vals):
+    """The matching loop: for every w with b.w = u, the tuple whose k-th entry
+    is vals[p - 1] when w sends place k to place p.
+    """
+    if len(b) != len(u):
+        raise ValueError("tuple lengths differ: %d vs %d" % (len(b), len(u)))
+    sources, targets = {}, {}
+    for p, v in enumerate(b):
+        sources.setdefault(v % n, []).append(vals[p])
+    for k, v in enumerate(u):
+        targets.setdefault(v % n, []).append(k)
+    # With equal lengths, matching class sizes on u's side match them all.
+    blocks = []
+    for c, ks in targets.items():
+        if len(sources.get(c, ())) != len(ks):
+            return iter(())
+        blocks.append(itertools.permutations(sources[c]))
+    # A choice of one bijection per class lists the entries class by class.
+    order = [k for ks in targets.values() for k in ks]
+    choices = itertools.product(*blocks)
+    if order == sorted(order):
+        return (sum(choice, ()) for choice in choices)
+    at = sorted(range(len(order)), key=order.__getitem__)
+    return (tuple(map(sum(choice, ()).__getitem__, at)) for choice in choices)
+
+
 def affine_matchings(b, u, n):
     """Every w with b.w = u, as an iterator of AffineWeylElement.
 
     Empty when the residue multisets of b and u modulo n differ.
     """
-    if len(b) != len(u):
-        raise ValueError("tuple lengths differ: %d vs %d" % (len(b), len(u)))
-    sources, targets = defaultdict(list), defaultdict(list)
-    for pos, v in enumerate(b, start=1):
-        sources[v % n].append(pos)
-    for k, v in enumerate(u):
-        targets[v % n].append(k)
-    # With equal lengths, matching class sizes on u's side match them all.
-    if any(len(sources[c]) != len(ks) for c, ks in targets.items()):
-        return iter(())
-    order = [k for ks in targets.values() for k in ks]
-    blocks = [itertools.permutations(sources[c]) for c in targets]
+    return (
+        AffineWeylElement._unchecked(s, tuple([(v - b[p - 1]) // n for v, p in zip(u, s)]))
+        for s in _matchings(b, u, n, range(1, len(b) + 1))
+    )
 
-    def solutions():
-        sigma = [0] * len(u)
-        for images in itertools.product(*blocks):
-            for k, pos in zip(order, itertools.chain.from_iterable(images)):
-                sigma[k] = pos
-            eps = [(uk - b[pos - 1]) // n for uk, pos in zip(u, sigma)]
-            yield AffineWeylElement._unchecked(tuple(sigma), tuple(eps))
 
-    return solutions()
+def affine_images(b, u, t, n):
+    """t.w for every w with b.w = u, once per w, in the order of affine_matchings.
+
+    A w sending place k to place p has n*eps_k = u_k - b_p, so t.w has
+    u_k + t_p - b_p at place k; no group element is built.
+    """
+    shifts = [tp - bp for tp, bp in zip(t, b, strict=True)]
+    return (tuple(map(operator.add, u, s)) for s in _matchings(b, u, n, shifts))
 
 
 def equivalent_middle(j, k, n):

@@ -1,5 +1,7 @@
 """What a process loads: the lazy package surface and each subcommand's modules."""
 
+import ast
+import importlib
 import inspect
 import json
 import subprocess
@@ -120,3 +122,38 @@ def test_every_suite_parameter_is_a_verify_flag():
         if param not in cli._VERIFY_FLAGS
     )
     assert unflagged == []
+
+
+# What each oracle takes from Green's module and from the group: the canonical
+# labelling, the bilinear extension and the matching kernel, never the code
+# it exists to check.
+_ORACLE_IMPORTS = {
+    "dual": {
+        "schur": {"bilinear", "canonicalize", "index_bottoms", "index_tops",
+                  "split_offsets"},
+        "weyl": {"affine_images", "all_perms", "perm_sign"},
+    },
+    "tensor": {
+        "schur": {"bilinear", "canonicalize", "index_bottoms", "index_tops",
+                  "middle_orbit_rep"},
+        "weyl": {"affine_images", "stabilizer_order"},
+    },
+}
+_GREEN = {"structure_constants", "multiply", "_green_product", "_row_types",
+          "_column_types", "_spreads"}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLE_IMPORTS))
+def test_oracles_import_nothing_of_greens_engine(oracle):
+    tree = ast.parse(inspect.getsource(importlib.import_module("affine_schur." + oracle)))
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("affine_schur") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # the package itself, or a sibling module bound by name, would
+            # reach any attribute
+            assert node.module is not None and not node.module.startswith("affine_schur")
+            taken.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert {m: taken.get(m) for m in ("schur", "weyl")} == _ORACLE_IMPORTS[oracle]
+    assert not _GREEN & (taken["schur"] | taken["weyl"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from affine_schur import tensor
 from affine_schur.dual import _schur_basis_product, multiply_schur_oracle
 from affine_schur.laurent import Laurent
 from affine_schur.schur import (
@@ -15,6 +16,7 @@ from affine_schur.schur import (
     structure_constants,
 )
 from affine_schur.tensor import (
+    ReconstructionError,
     TensorVector,
     _action_basis_product,
     act,
@@ -170,3 +172,45 @@ def test_basis_product_memo(basis_product):
 def test_tensor_json_round_trip():
     v = TensorVector(2, 2, {(1, -3): Laurent.gen(2, 3), (0, 5): Laurent.one()})
     assert TensorVector.from_json(v.to_json()) == v
+
+
+def _reconstruct(monkeypatch, x_image, candidate_action):
+    """The product of x = [(1)|(2)] and y = [(2)|(2)] at n = 2 over a faked
+    action: y sends v_u to v_(7), x sends v_(7) to x_image, and the candidate
+    label of v_(5) acts on v_u as ``candidate_action``."""
+    x, y = ((1, 2),), ((2, 2),)
+    cand = canonicalize((5,), middle_orbit_rep(y, 2), 2)
+    table = {y: {(7,): 1}, x: x_image, cand: candidate_action}
+    monkeypatch.setattr(tensor, "_basis_action_on_tuple", lambda pairs, u, n: table[pairs])
+    return cand, tensor._action_basis_product.__wrapped__(x, y, 2)
+
+
+def test_reconstruction_divides_exactly_in_integers(monkeypatch):
+    cand, out = _reconstruct(monkeypatch, {(5,): 6}, {(5,): 2})
+    assert out == {cand: 3} and type(out[cand]) is int
+
+
+@pytest.mark.parametrize(
+    "x_image, candidate_action, message",
+    [
+        ({(5,): 3}, {}, r"candidate \(\(1, -2\),\) misses \(5,\)"),
+        ({(5,): 3}, {(5,): 2}, r"non-integral coefficient 3/2 for \(\(1, -2\),\)"),
+        ({(5,): -3}, {(5,): 1}, r"non-integral coefficient -3 for \(\(1, -2\),\)"),
+        ({(5,): 3}, {(5,): 1, (9,): 1}, r"inconsistent system at \(9,\)"),
+    ],
+    ids=["candidate-misses", "non-integral", "non-positive", "negative-residual"],
+)
+def test_reconstruction_rejects_an_inconsistent_action(
+    monkeypatch, x_image, candidate_action, message
+):
+    with pytest.raises(ReconstructionError, match=message):
+        _reconstruct(monkeypatch, x_image, candidate_action)
+
+
+def test_action_rejects_a_count_off_the_stabilizer(monkeypatch):
+    # [(1,1),(1,1)] has a pair stabilizer of order 2, so a single matching
+    # onto an image cannot come from the true action
+    monkeypatch.setattr(tensor, "affine_images", lambda b, u, t, n: iter([(5, 5)]))
+    message = r"1 matchings onto \(5, 5\), not a multiple of 2"
+    with pytest.raises(ReconstructionError, match=message):
+        tensor._basis_action_on_tuple(((1, 1), (1, 1)), (1, 1), 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import factorial, prod
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from affine_schur.weyl import (
     AffineWeylElement,
+    affine_images,
     affine_matchings,
     all_perms,
     bar,
@@ -224,6 +226,38 @@ def test_affine_matchings_examples():
     assert list(affine_matchings((), (), 3)) == [AffineWeylElement.identity(0)]
     with pytest.raises(ValueError):
         affine_matchings((1, 2), (1, 2, 3), 2)
+
+
+def test_affine_images_are_the_matchings_applied():
+    # every b and u over a small window, t seeded: the image form yields
+    # w.apply(t, n) once per w with b.w = u, found by brute force over all
+    # permutations, and in the order of affine_matchings
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        for r in range(4):
+            for b in itertools.product(range(-1, 3), repeat=r):
+                for u in itertools.product(range(-1, 3), repeat=r):
+                    t = tuple(rng.randint(-3, 5) for _ in range(r))
+                    got = list(affine_images(b, u, t, n))
+                    brute = Counter(w.apply(t, n) for w in _brute_matchings(b, u, n))
+                    assert Counter(got) == brute
+                    assert got == [w.apply(t, n) for w in affine_matchings(b, u, n)]
+                    if sorted(v % n for v in b) != sorted(v % n for v in u):
+                        assert got == []
+
+
+def test_affine_images_examples():
+    # the two -1s of b swap freely: t.w has u_k + t_p - b_p at place k
+    assert sorted(affine_images((-1, 2, -1), (1, -1, 4), (10, 20, 30), 2)) == [
+        (12, 30, 22),
+        (32, 10, 22),
+    ]
+    assert list(affine_images((1, 1), (1, 2), (5, 6), 2)) == []
+    assert list(affine_images((), (), (), 3)) == [()]
+    with pytest.raises(ValueError):
+        affine_images((1, 2), (1, 2, 3), (1, 2), 2)
+    with pytest.raises(ValueError):
+        affine_images((1, 2), (1, 2), (1, 2, 3), 2)
 
 
 def test_orbit_rep():
