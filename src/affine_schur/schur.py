@@ -142,13 +142,16 @@ def _green_product(x_pairs, y_pairs, n):
     its columns the right label's pairs (c, l_b + n*eps'_b), read from the
     per-label memos ``_row_types`` and ``_column_types``, so the output pair
     is the column's bottom shifted by n*eps_a.  The tables are built row
-    type by row type, and partial tables are merged
-    by their state: the remaining column capacities of the current block and
-    the output multiset, packed into one int with a base-(r+1) digit per
-    output pair.  A state's weight is the sum, over the partial tables that
-    reach it, of prod over rows of need! / prod M[a][b]!.  A label's
-    coefficient is then prod(output multiplicity)! * weight / prod need!,
-    one exact division; a remainder raises ``ArithmeticError``.
+    type by row type, and partial tables are merged by their state: one int
+    of digits ``width`` bytes wide, the least width that holds r.  Its low r
+    digits are the current block's remaining column capacities, all zero
+    between blocks; above them each output pair's multiplicity has its
+    digit, numbered in ``place``.  A move adds one int, and the final loop
+    reads all of a state's digits with one ``to_bytes``.  A state's weight
+    is the sum, over the partial tables that reach it, of prod over rows of
+    need! / prod M[a][b]!.  A label's coefficient is then prod(output
+    multiplicity)! * weight / prod need!, one exact division; a remainder
+    raises ``ArithmeticError``.
 
     The keys come in the order in which a depth-first walk over the tables
     (rows in turn, each row's spreads in ``_spreads`` order) first reaches
@@ -157,47 +160,56 @@ def _green_product(x_pairs, y_pairs, n):
     ``looplie.decompose_y`` builds its trees in this order.
     """
     middle, rows = _row_types(x_pairs, n)
-    tops, cols = _column_types(y_pairs)
+    tops, width, cols, starts = _column_types(y_pairs)
     if middle != tops:
         return {}
 
-    base = len(x_pairs) + 1
-    fact = [factorial(m) for m in range(base)]
-    place = {}  # output pair -> base ** its number, numbered as first seen
+    fact = [factorial(m) for m in range(len(x_pairs) + 1)]
+    digit = 8 * width
+    low = digit * len(x_pairs)  # no block has more than r columns
+    mask = (1 << low) - 1
+    place = {}  # output pair -> its digit number, numbered as first seen
     denom = 1
-    states = {((), 0): 1}  # (capacities left, packed outputs) -> weight
+    states = {0: 1}  # packed state -> weight
     for c, row_types in rows.items():
-        col_types = cols[c]
-        caps = tuple(col_types.values())
-        states = {(caps, packed): w for (_, packed), w in states.items()}
+        col, start = cols[c], starts[c]
         for (top, bottom), need in row_types.items():
             shift = bottom - c  # n * eps_a
-            places = [
-                place.setdefault((top, l + shift), base ** len(place))
-                for _, l in col_types
+            outs = [
+                1 << low + digit * place.setdefault((top, l + shift), len(place))
+                for _, l in col
             ]
             moves = {}
             after = {}
-            for (left, packed), w in states.items():
+            for key, w in states.items():
+                left = key & mask
                 step = moves.get(left)
-                if step is None:
+                if step is None:  # a block's first row finds no capacity left
                     step = moves[left] = [
-                        (rest, sum(map(mul, counts, places)), ways)
-                        for rest, counts, ways in _spreads(need, left)
+                        (sum(map(mul, counts, outs), rest - left), ways)
+                        for rest, counts, ways in _spreads(need, left or start, digit)
                     ]
-                for rest, added, ways in step:
-                    key = rest, packed + added
-                    after[key] = after.get(key, 0) + w * ways
+                for added, ways in step:
+                    moved = key + added
+                    after[moved] = after.get(moved, 0) + w * ways
             states = after
             denom *= fact[need]
 
     outputs = sorted(place.items())
+    size = len(place) * width
     out = {}
-    for (_, packed), w in states.items():
+    for key, w in states.items():
+        digits = (key >> low).to_bytes(size, "little")
+        if width > 1:
+            digits = [
+                int.from_bytes(digits[i:i + width], "little") for i in range(0, size, width)
+            ]
         label = []
-        for pair, value in outputs:
-            m = packed // value % base
-            if m:
+        for pair, d in outputs:
+            m = digits[d]
+            if m == 1:
+                label.append(pair)
+            elif m:
                 label += (pair,) * m
                 w *= fact[m]
         coeff, rem = divmod(w, denom)
@@ -233,37 +245,41 @@ def _row_types(pairs, n):
 def _column_types(pairs):
     """A label's column types as the right factor of Green's product.
 
-    Returns (its sorted tops, {top c: {pair: count}}): the label's own pairs
-    grouped by top, both levels in label order; memoized and only read, as
-    ``_row_types`` is.
+    Returns (its sorted tops, the digit width of Green's states in bytes,
+    {top c: {pair: its column number}}, {top c: start}).  The width is the
+    least with 256**width > r.  Block c's columns are the label's pairs with
+    top c, in label order, and its start holds their counts, one digit each,
+    the first column lowest.  Memoized and only read, as ``_row_types`` is.
     """
-    cols = {}
+    width = (len(pairs).bit_length() + 7) // 8 or 1
+    cols, starts = {}, {}
     for pair in pairs:
-        col = cols.setdefault(pair[0], {})
-        col[pair] = col.get(pair, 0) + 1
-    return tuple(sorted(index_tops(pairs))), cols
+        c = pair[0]
+        col = cols.setdefault(c, {})
+        starts[c] = starts.get(c, 0) + (1 << 8 * width * col.setdefault(pair, len(col)))
+    return tuple(sorted(index_tops(pairs))), width, cols, starts
 
 
 @lru_cache(maxsize=None)
-def _spreads(need, caps):
-    """Every way to spread a row sum `need` over columns with capacities `caps`.
+def _spreads(need, caps, digit):
+    """Every way to spread a row sum `need` over columns whose capacities are
+    the `digit`-bit digits of `caps`, the first column lowest.
 
-    A list of (capacities left, counts taken, need! / prod count!), ordered
-    by the list of (column, count) over the non-zero counts, compared
-    lexicographically: the order of a depth-first walk.
+    A list of (capacities left, counts taken up to the last non-zero one,
+    need! / prod count!), ordered by the list of (column, count) over the
+    non-zero counts, compared lexicographically: the order of a depth-first
+    walk.
     """
     if not need:
-        return [(caps, (0,) * len(caps), 1)]
-    out = []
-    for b, cap in enumerate(caps):
-        for m in range(1, min(need, cap) + 1):
-            for rest, counts, ways in _spreads(need - m, caps[b + 1:]):
-                out.append((
-                    caps[:b] + (cap - m,) + rest,
-                    (0,) * b + (m,) + counts,
-                    comb(need, m) * ways,
-                ))
-    return out
+        return [(caps, (), 1)]
+    if not caps:
+        return []
+    first, higher = caps & ((1 << digit) - 1), caps >> digit
+    return [
+        ((rest << digit) + first - m, (m,) + counts, comb(need, m) * ways)
+        for m in [*range(1, min(need, first) + 1), 0]  # use the first column, then skip it
+        for rest, counts, ways in _spreads(need - m, higher, digit)
+    ]
 
 
 # -- algebra elements ----------------------------------------------------------

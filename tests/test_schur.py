@@ -510,6 +510,31 @@ def test_green_division_is_checked(monkeypatch):
     monkeypatch.setattr(schur, "factorial", lambda m: m + 1)
     with pytest.raises(ArithmeticError, match="non-integral"):
         schur._green_product(_n1_label((0, 0)), _n1_label((0, 1)), 1)
+    # Repeated row types and an output pair reached from two (row, column)
+    # cells: many states per row reach the final division.
+    x = _n1_label((0, 0, 1, 1, 2))
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        schur._green_product(x, x, 1)
+
+
+@pytest.mark.parametrize("y", [
+    # block 2 emits block 1's four output pairs, and two of its tables meet
+    ((1, 1), (1, 3), (2, 1), (2, 3)),
+    # block 2 emits two of block 1's output pairs after a new one
+    ((1, 1), (1, 3), (2, -1), (2, 1)),
+])
+def test_green_carries_states_across_blocks(y):
+    _assert_matches_table_dfs(((1, 1), (1, 2), (2, 1), (2, 2)), y, 2)
+
+
+@pytest.mark.parametrize("r", [255, 256, 257])
+def test_green_digits_one_byte_and_wider(r):
+    # At r = 256 an output multiplicity and a column capacity no longer fit
+    # in one byte.
+    one = identity(1, r)
+    assert multiply(one, one) == one
+    x = AlgebraElement(1, r, {((1, 1),) * (r - 1) + ((1, 2),): 1})
+    assert multiply(x, one) == x == multiply(one, x)
 
 
 # -- independent checks: n = 1 symmetric functions and orbit counts ---------------
