@@ -13,7 +13,12 @@ for results computed inside the package whose keys are already normal and
 whose coefficients are already coerced.  ``_from_items`` only adds the
 coefficients of equal keys and drops the zero sums.  ``_trusted`` takes a
 finished dict with no zero coefficient and checks nothing: ``schur.multiply``
-sums its coefficients itself and builds its product through it.
+sums its coefficients itself and builds its product through it.  Addition,
+negation and scaling build their results through it too, in one pass each.
+
+Coefficient objects are immutable, so one object may be shared by several
+keys, of one combination or of several: ``schur.multiply`` stores one
+``Laurent`` for every label that a term pair reaches with the same constant.
 
 ``read`` is the one shape check for JSON input: every ``from_json`` and every
 JSON document the command line reads goes through it.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
 
 from .laurent import Laurent
 
@@ -135,7 +139,8 @@ class Combination:
     @classmethod
     def _trusted(cls, context, terms):
         """The trusted constructor for finished terms: a dict of normal keys to
-        nonzero coerced coefficients, owned by the result."""
+        nonzero coerced coefficients.  The dict is owned by the result; its
+        coefficients are immutable and may be shared."""
         self = object.__new__(cls)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", terms)
@@ -183,19 +188,37 @@ class Combination:
         return hash(self.context + (frozenset(self.terms.items()),))
 
     def __add__(self, other):
-        self._check_context(other)
-        return self._from_items(
-            self.context, chain(self.terms.items(), other.terms.items())
-        )
-
-    def __neg__(self):
-        return self._from_items(self.context, ((k, -c) for k, c in self.terms.items()))
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract):
+        """self + other, or self - other, in one pass over a copy of self's terms.
+
+        Keys keep their order: self's first, then other's new ones.
+        """
+        self._check_context(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            prior = terms.get(key)
+            if prior is None:
+                terms[key] = -c if subtract else c
+                continue
+            c = prior - c if subtract else prior + c
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return self._trusted(self.context, terms)
+
+    def __neg__(self):
+        return self._trusted(self.context, {k: -c for k, c in self.terms.items()})
 
     def scale(self, coeff):
+        """coeff times self.  The coefficient rings have no zero divisors, so
+        only a zero coeff makes a product of coefficients zero."""
         coeff = self._coeff(coeff)
-        return self._from_items(
-            self.context, ((k, coeff * c) for k, c in self.terms.items())
-        )
+        if not coeff:
+            return self._trusted(self.context, {})
+        return self._trusted(self.context, {k: coeff * c for k, c in self.terms.items()})

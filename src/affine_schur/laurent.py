@@ -67,7 +67,8 @@ class Laurent:
     @classmethod
     def _trusted(cls, terms):
         """The trusted constructor: a dict of int exponents to stored nonzero
-        coefficients, owned by the result."""
+        coefficients.  The result owns the dict and never changes it, so the
+        result may be shared by several keys of a combination."""
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         return self

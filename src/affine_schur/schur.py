@@ -424,40 +424,57 @@ def multiply(x, y):
     x meets only its composable partners, and only composable pairs reach
     ``structure_constants``.  The sorted bottom residues of a term of x and
     the sorted tops of a term of y are read from the per-label memos
-    ``_row_types`` and ``_column_types``.  Each output label's
-    coefficient is summed as a raw {exponent: int or Fraction} dict, which
-    becomes that label's one ``Laurent`` at the end, normalized in place.  As
-    ``combination.accumulate`` does, labels keep the order in which they
-    first appear, and zero sums are dropped.
+    ``_row_types`` and ``_column_types``.
+
+    Structure constants are integers, so one term pair gives the same few
+    coefficients coeff * z on many labels.  Each pair builds one immutable
+    ``Laurent`` per distinct z and stores that object for every label it
+    reaches first; Q[a, a^-1] is an integral domain, so none is zero.  A label
+    that a later pair reaches too is copied on write into a raw
+    {exponent: int or Fraction} sum, which becomes its own ``Laurent`` at the
+    end, normalized in place.  As ``combination.accumulate`` does, labels keep
+    the order in which they first appear, and zero sums are dropped.
     """
     x._check_context(y)
     n = x.n
     by_tops = {}
     for yp, yc in y.terms.items():
         by_tops.setdefault(_column_types(yp)[0], []).append((yp, yc.terms.items()))
-    sums = {}  # output label -> {exponent: raw coefficient}
+    sums = {}  # output label -> a shared Laurent, or a raw sum once reached twice
+    merged = []  # the labels whose value in ``sums`` is a raw sum
     for xp, xc in x.terms.items():
         for yp, y_coeffs in by_tops.get(_row_types(xp, n)[0], ()):
             coeff = {}
             for e1, c1 in xc.terms.items():
                 for e2, c2 in y_coeffs:
                     coeff[e1 + e2] = coeff.get(e1 + e2, 0) + c1 * c2
+            coeff = [(e, c) for e, c in coeff.items() if c]
+            shared = {}  # z -> the one Laurent of coeff * z
             for pairs, z in structure_constants(xp, yp, n).items():
-                acc = sums.get(pairs)
-                if acc is None:
-                    acc = sums[pairs] = {}
-                for e, c in coeff.items():
-                    acc[e] = acc.get(e, 0) + c * z
-    terms = {}
-    for pairs, acc in sums.items():
+                first = shared.get(z)
+                if first is None:
+                    first = Laurent._trusted({e: _normal(c * z) for e, c in coeff})
+                    shared[z] = first
+                acc = sums.setdefault(pairs, first)
+                if acc is not first:
+                    if type(acc) is Laurent:
+                        acc = sums[pairs] = dict(acc.terms)
+                        merged.append(pairs)
+                    for e, c in first.terms.items():
+                        acc[e] = acc.get(e, 0) + c
+    cancelled = False
+    for pairs in merged:
+        acc = sums[pairs]
         for e, c in acc.items():
             if type(c) is not int:
                 acc[e] = _normal(c)
         if 0 in acc.values():
             acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            terms[pairs] = Laurent._trusted(acc)
-    return AlgebraElement._trusted(x.context, terms)
+            cancelled = cancelled or not acc
+        sums[pairs] = Laurent._trusted(acc)
+    if cancelled:
+        sums = {pairs: c for pairs, c in sums.items() if c}
+    return AlgebraElement._trusted(x.context, sums)
 
 
 def identity(n, r):

@@ -146,3 +146,36 @@ def test_values_are_immutable_and_hashable():
     assert hash(x) == hash(TensorVector.basis(1, (1, 2), Laurent.const(3)))
     assert x - x == TensorVector.zero(1, 2)
     assert x.scale(0).is_zero()
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (lambda terms: AlgebraElement(1, 1, terms), lambda k: ((1, k),)),
+        (lambda terms: PeriodicMatrix(1, terms), lambda k: (1, k)),
+        (lambda terms: OperatorSum(2, terms), lambda k: ((1,), (k,))),
+    ],
+    ids=["algebra-element", "periodic-matrix", "operator-sum"],
+)
+def test_arithmetic_keeps_key_order_and_drops_zero_sums(make, key):
+    k1, k2, k3, k4 = map(key, (4, 1, 3, 2))
+    x = make({k1: 1, k2: 2, k3: Fraction(3, 2)})
+    y = make({k2: 2, k4: 5, k1: Fraction(1, 2)})
+    x_terms, y_terms = dict(x.terms), dict(y.terms)
+
+    diff = x - y  # k2 cancels
+    assert diff == make({k1: Fraction(1, 2), k3: Fraction(3, 2), k4: -5})
+    assert list(diff.terms) == [k1, k3, k4]
+    total = x + y  # k4 is new
+    assert total == make({k1: Fraction(3, 2), k2: 4, k3: Fraction(3, 2), k4: 5})
+    assert list(total.terms) == [k1, k2, k3, k4]
+    neg = -x
+    assert neg == make({k1: -1, k2: -2, k3: Fraction(-3, 2)})
+    assert list(neg.terms) == [k1, k2, k3]
+    assert x.scale(0) == make({}) and not x.scale(0).terms
+    assert x.scale(2) == x + x and list(x.scale(2).terms) == [k1, k2, k3]
+    assert x - x == make({}) and (x - y) + y == x
+    assert x.terms == x_terms and y.terms == y_terms
+    for value in (diff, total, neg, x.scale(2)):
+        for c in value.terms.values():
+            assert c and type(c) is type(next(iter(x.terms.values())))

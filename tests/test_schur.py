@@ -200,6 +200,50 @@ def test_multiply_matches_the_generic_bilinear_path(n):
     assert cancelled
 
 
+def test_multiply_copies_a_shared_coefficient_on_write():
+    # xi_A xi_C reaches L2 and L1 with z = 1, so both labels get one shared
+    # coefficient; xi_B xi_C reaches L1 again, which must copy, not mutate
+    n, r = 1, 2
+    a, b, c = ((1, 0), (1, 2)), ((1, 1), (1, 1)), ((1, 0), (1, 1))
+    l1, l2 = ((1, 0), (1, 1)), ((1, -1), (1, 2))
+    assert structure_constants(a, c, n) == {l2: 1, l1: 1}
+    assert structure_constants(b, c, n) == {l1: 1}
+    memo = {(xp, c): dict(structure_constants(xp, c, n)) for xp in (a, b)}
+    p, q, s = Laurent({1: 2, 0: 1}), Laurent({-1: 3}), Laurent({0: Fraction(1, 2)})
+    y = AlgebraElement(n, r, {c: q})
+    earlier = multiply(AlgebraElement(n, r, {a: p}), y)
+    assert earlier.terms[l1] is earlier.terms[l2]
+    before = {label: dict(coeff.terms) for label, coeff in earlier.terms.items()}
+    x = AlgebraElement(n, r, {a: p, b: s})
+    got = multiply(x, y)
+    assert got.terms[l2].terms == (p * q).terms == {0: 6, -1: 3}
+    assert got.terms[l1] == p * q + s * q
+    assert {label: coeff.terms for label, coeff in earlier.terms.items()} == before
+    assert {key: structure_constants(*key, n) for key in memo} == memo
+    want = schur.bilinear(x, y, structure_constants)
+    assert got == want
+    assert list(got.terms) == list(want.terms) == [l2, l1]
+
+
+def test_multiply_stores_cancelled_exponents_and_integral_fractions_normalized():
+    # xi_x^2 = xi_{(1,1)|(1,3)} + 2 xi_{(1,1)|(2,2)}; (a + 1)(a - 1) has no a^1 term
+    x = ((1, 1), (1, 2))
+    zs = {((1, 1), (1, 3)): 1, ((1, 2), (1, 2)): 2}
+    for left, right in [
+        (Laurent({1: 1, 0: 1}), Laurent({1: 1, 0: -1})),
+        (Laurent({1: Fraction(1, 2), 0: Fraction(1, 2)}), Laurent({1: 2, 0: -2})),
+    ]:
+        got = multiply(AlgebraElement(1, 2, {x: left}), AlgebraElement(1, 2, {x: right}))
+        assert list(got.terms) == list(zs)
+        for label, z in zs.items():
+            coeff = got.terms[label].terms
+            assert coeff == {2: z, 0: -z} and 1 not in coeff
+            assert all(type(v) is int for v in coeff.values()), coeff
+    half = multiply(AlgebraElement(1, 2, {x: Fraction(1, 2)}), AlgebraElement(1, 2, {x: 1}))
+    assert half.terms[((1, 1), (1, 3))].terms == {0: Fraction(1, 2)}
+    assert type(half.terms[((1, 2), (1, 2))].terms[0]) is int
+
+
 def test_structure_constants_positive_integers():
     rng = random.Random(5)
     idxs = basis_indices(2, 2, 1)
