@@ -7,8 +7,9 @@ dual basis vectors.  The product oracle counts, for each candidate output
 label, the middle tuples s compatible with both factors.  It shares nothing
 with the double-coset engine except the canonical labelling itself.
 
-The coalgebra-side maps are row-finite and compose one label at a time, so
-checking that dualizing reverses composition needs no output window.
+The coalgebra-side maps are row-finite and compose one label at a time.  The
+algebra is the dual of this coalgebra, so each algebra-side map is the
+transpose (``sharp``) of a coalgebra-side one, taken over a window of inputs.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _schur_basis_product(x_pairs, y_pairs, n):
     return out
 
 
-# -- row-finite maps, composed label by label, and the duality check ----------
+# -- row-finite maps, composed label by label, and their transposes ----------
 
 class RowFiniteMap:
     """A formal linear map between based spaces, given by a coefficient rule.
@@ -113,27 +114,7 @@ class RowFiniteMap:
         return RowFiniteMap(lambda o: columns.get(o, ()))
 
 
-def sharp_compose_check(f, g, in_window, mid_window):
-    """Verify that dualizing reverses composition: (g o f)^# = f^# o g^#.
-
-    Both sides are composed one label at a time.  f and g o f are dualized
-    over ``in_window``, and g over the labels f reaches from it, which must
-    lie in ``mid_window``; each output label of g is checked exactly.
-    """
-    mid = set(mid_window)
-    reached = {}
-    for idx in in_window:
-        for o in f.apply(idx):
-            if o not in mid:
-                raise ValueError("window not closed under f at %s -> %s" % (idx, o))
-            reached[o] = None
-    g_sharp = g.sharp(reached)
-    lhs = g.after(f).sharp(in_window)
-    rhs = f.sharp(in_window).after(g_sharp)
-    return all(lhs.apply(o) == rhs.apply(o) for m in reached for o in g.apply(m))
-
-
-# -- coalgebra-side maps used by the duality tests ------------------------------
+# -- coalgebra-side maps used by the duality checks -----------------------------
 
 def phi_as_map(n, s):
     """The coordinate-side map dual to the offset-rescaling endomorphism."""

@@ -324,6 +324,12 @@ def suite_hom_laws(n=2, r=2, window=1, seed=20240603):
                    (None if weyl_act(w, e) == e else {"window": w.window, "id": True}
                     for w in syms),
                    map(rho_n_failure, sample))),
+        # pinned: (1,3) = 1 + 2*1 has height 1, and s = 2 sends it to 1 + 2*2*1 = 5
+        _check("psi-worked-value",
+               [(AlgebraElement.basis(2, (1, 2), (3, 2)), 2,
+                 AlgebraElement.basis(2, (1, 2), (5, 2), Laurent.gen(1)))],
+               lambda c: None if psi_as(c[0], c[1]) == c[2]
+               else {"x": str(c[0]), "s": c[1], "want": str(c[2])}),
     ]
 
 
@@ -549,47 +555,51 @@ def suite_mackey(r=3, n=2, seed=20240605):
         _check("mackey-affine-window",
                itertools.product(configs, (window_mackey, window_transitivity)),
                lambda c: c[1](*c[0])),
-        # duality reverses composition on explicit windows
-        _check("sharp-reverses-composition", _sharp_compose_cases(n), _holds),
+        # the algebra-side maps are the transposes of the coalgebra-side maps
+        _check("sharp-is-transpose", _duality_cases(n), lambda case: case()),
     ]
 
 
-def _sharp_compose_cases(n):
-    from .dual import (
-        RowFiniteMap,
-        det_multiplication_map,
-        phi_as_map,
-        sharp_compose_check,
-    )
+def _duality_cases(n):
+    """Thunks for the duality check at r = 1, each returning None or a
+    counterexample.  S~(n,r) is the dual of the coordinate coalgebra, so each
+    algebra-side map F is the transpose of a coalgebra-side map F*."""
+    from .dual import det_multiplication_map, phi_as_map
 
-    r = 1
-    win_r = basis_indices(n, r, 1)
-    win_mid = basis_indices(n, r, 2)
-    f = phi_as_map(n, 1)
-    g = det_multiplication_map(n, 3)
-    # the coalgebra-side square behind the transfer compatibility: multiplying
-    # by the affine determinant intertwines the offset-rescaling maps
-    det_1 = det_multiplication_map(n, 3, height_scalar=lambda h: Laurent.one())
+    def pairing(name, algebra_map, degree, window, reach, transpose):
+        # <F(xi_z), c_w> = <xi_z, F*(c_w)> over the inputs w of one window, for
+        # each label z that ``reach`` sends them to
+        inputs = basis_indices(n, 1, window)
+        columns = transpose.sharp(inputs)
+        for z in dict.fromkeys(z for w in inputs for z in reach.apply(w)):
+            xi_z = _basis_elem(n, degree, z)
+            if columns.apply(z) != algebra_map(xi_z).terms:
+                return {"failed": name, "xi": str(xi_z)}
+        return None
 
-    # identity map and random sparse row-finite maps on a ten-label window
-    ident = RowFiniteMap(lambda idx: [(idx, Laurent.one())])
-    rng = random.Random(7)
-    small = win_r[:10]
-    table_f = {
-        idx: [(rng.choice(small), Laurent.const(rng.randint(1, 3)))] for idx in small
-    }
-    table_g = {
-        idx: [(rng.choice(small), Laurent.gen(rng.randint(0, 1)))] for idx in small
-    }
-    f2 = RowFiniteMap(lambda idx: table_f.get(idx, []))
-    g2 = RowFiniteMap(lambda idx: table_g.get(idx, []))
-    return [
-        ("phi-det", lambda: sharp_compose_check(f, g, win_r, win_mid)),
-        ("det-square", lambda: all(
-            g.after(f).apply(idx) == f.after(det_1).apply(idx) for idx in win_r)),
-        ("identity", lambda: sharp_compose_check(ident, ident, small, small)),
-        ("sparse", lambda: sharp_compose_check(f2, g2, small, small)),
-    ]
+    def det_pairing():
+        # a label reached from window 2 at det window 1 has its offsets in
+        # [-2, 2], so its column at det window 2 over input window 2 is all of it
+        det = det_multiplication_map
+        return pairing("det-pairing", det_tilde_sharp, n + 1, 2, det(n, 1), det(n, 2))
+
+    def psi_pairing(s):
+        # psi_as(xi_z) has the one term s*z, in window 3 when z is reached from it
+        phi = phi_as_map(n, s)
+        return pairing("psi-pairing-s%d" % s, lambda x: psi_as(x, s), 1, 3, phi, phi)
+
+    def det_square():
+        # the coalgebra-side square behind the transfer compatibility: multiplying
+        # by the affine determinant intertwines the offset-rescaling maps
+        f, g = phi_as_map(n, 1), det_multiplication_map(n, 3)
+        det_1 = det_multiplication_map(n, 3, height_scalar=lambda h: Laurent.one())
+        lhs, rhs = g.after(f), f.after(det_1)
+        for idx in basis_indices(n, 1, 1):
+            if lhs.apply(idx) != rhs.apply(idx):
+                return {"failed": "det-square", "xi": str(_basis_elem(n, 1, idx))}
+        return None
+
+    return [det_pairing, det_square] + [lambda s=s: psi_pairing(s) for s in (-1, 2, 3)]
 
 
 # -- lie suite ----------------------------------------------------------------------------

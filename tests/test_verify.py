@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from affine_schur import homs
+from affine_schur.laurent import Laurent
 from affine_schur.verify import SUITES, _check, run_suite
 
 
@@ -112,5 +114,32 @@ def test_mackey_report_pins_every_check_count(params):
         ("transfer-move", 40),
         ("transfer-compare", 40),
         ("mackey-affine-window", 8),
-        ("sharp-reverses-composition", 4),
+        ("sharp-is-transpose", 5),
     ]
+
+
+_MUTANTS = {
+    # the coalgebra-side det map multiplies by the permanent
+    "permanent-det-map": ("det-pairing", lambda mp: mp.setattr(
+        "affine_schur.dual.perm_sign", lambda sigma: 1)),
+    # det_tilde_sharp imports perm_sign when it is called, so it loses its signs
+    "unsigned-det-sharp": ("det-pairing", lambda mp: mp.setattr(
+        "affine_schur.weyl.perm_sign", lambda sigma: 1)),
+    # psi_as weights by a^-h in place of a^h
+    "psi-inverse-height": ("psi-pairing-s-1", lambda mp: mp.setattr(
+        homs.psi_as, "__defaults__", (lambda h: Laurent.gen(-h),))),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_duality_check_fails_under_each_mutant(monkeypatch, mutant):
+    # each mutant is still a linear map, so only a pairing against the other
+    # side of the duality, or a pinned value, tells it from the right one
+    case, apply = _MUTANTS[mutant]
+    apply(monkeypatch)
+    checks = {c["name"]: c for c in run_suite("mackey")["checks"]}
+    assert not checks["sharp-is-transpose"]["passed"]
+    assert checks["sharp-is-transpose"]["detail"]["failed"] == case
+    if mutant == "psi-inverse-height":
+        failed = [c["name"] for c in run_suite("hom-laws")["checks"] if not c["passed"]]
+        assert failed == ["psi-worked-value"]
