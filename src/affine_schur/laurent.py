@@ -86,11 +86,16 @@ class Laurent:
 
     @classmethod
     def const(cls, c):
-        return cls({0: c})
+        return cls.gen(0, c)
 
     @classmethod
     def gen(cls, exp=1, coeff=1):
-        """The monomial coeff * a^exp."""
+        """The monomial coeff * a^exp.  An ``int`` exponent with an ``int`` or
+        ``Fraction`` coefficient is stored directly; any other input is
+        coerced, or rejected, by the constructor."""
+        kind = type(coeff)
+        if type(exp) is int and (kind is int or kind is Fraction):
+            return cls._trusted({exp: _normal(coeff)} if coeff else {})
         return cls({exp: coeff})
 
     def is_zero(self):

@@ -113,6 +113,9 @@ def test_add_across_contexts_raises():
         lambda: OperatorSum(2, {(1, 2, 3): 1}),
         lambda: OperatorSum(2, {(1, 2): 1}),  # indices are not tuples
         lambda: OperatorSum(2, {((1,), (1, 2)): 1}),  # lengths differ
+        lambda: AlgebraElement(1, 3, {((1, 1), (1, 3), (1, 2)): 1}),  # last pair unsorted
+        lambda: AlgebraElement(2, 1, {((0, 1),): 1}),  # top 0
+        lambda: AlgebraElement(2, 1, {((1, 1, 1),): 1}),  # a three-entry pair
     ],
 )
 def test_public_constructors_reject_malformed_input(build):
@@ -179,3 +182,15 @@ def test_arithmetic_keeps_key_order_and_drops_zero_sums(make, key):
     for value in (diff, total, neg, x.scale(2)):
         for c in value.terms.values():
             assert c and type(c) is type(next(iter(x.terms.values())))
+
+    def typed(value):
+        # keys in order, coefficients with their types and stored entry types
+        return [
+            (k, c, type(c), [(e, v, type(v)) for e, v in getattr(c, "terms", {}).items()])
+            for k, c in value.terms.items()
+        ]
+
+    half = make({k1: Fraction(1, 2), k2: 1, k3: Fraction(3, 4)})
+    assert typed(x.scale(Fraction(1, 2))) == typed(half)
+    assert typed(x.scale(True)) == typed(x) == typed(x.scale(1))
+    assert typed(x.scale(2)) == typed(make({k1: 2, k2: 4, k3: 3}))

@@ -91,6 +91,18 @@ def test_constants_hash_as_their_values():
         assert len({Laurent.const(c), c}) == 1
 
 
+@pytest.mark.parametrize("exp", [0, -2])
+@pytest.mark.parametrize("coeff", [0, 3, -2, Fraction(4, 2), Fraction(1, 3), True, "1/2"])
+def test_gen_stores_what_the_constructor_stores(exp, coeff):
+    # exact ints and Fractions take a direct path; bool and str are coerced
+    got, want = Laurent.gen(exp, coeff).terms, Laurent({exp: coeff}).terms
+    assert got == want
+    assert [(type(e), type(c)) for e, c in got.items()] == [
+        (type(e), type(c)) for e, c in want.items()
+    ]
+    assert Laurent.const(coeff).terms == Laurent({0: coeff}).terms
+
+
 def test_power_and_zero():
     assert Laurent.gen(1) ** 3 == Laurent.gen(3)
     assert Laurent.zero() * Laurent.gen(5) == Laurent.zero()

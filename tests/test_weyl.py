@@ -6,6 +6,8 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_schur import dual, tensor, weyl
+from affine_schur.verify import run_suite
 from affine_schur.weyl import (
     AffineWeylElement,
     affine_images,
@@ -18,6 +20,7 @@ from affine_schur.weyl import (
     partition_of,
     refines,
     stabilizer,
+    stabilizer_order,
     tuple_orbit_rep,
     young_order,
     young_subgroup,
@@ -263,3 +266,24 @@ def test_affine_images_examples():
 def test_orbit_rep():
     assert tuple_orbit_rep((5, -1, 2), 2) == (1, 1, 2)
     assert bar(0, 2) == 2 and bar(-1, 2) == 1 and bar(4, 2) == 2
+
+
+@given(st.lists(st.integers(-3, 3), max_size=7), st.booleans())
+def test_stabilizer_order_is_the_product_of_factorials(entries, distinct):
+    # with and without repeats, from a tuple and from a zip iterator
+    t = tuple(dict.fromkeys(entries)) if distinct else tuple(entries)
+    want = prod(factorial(m) for m in Counter(t).values())
+    assert stabilizer_order(t) == want
+    assert stabilizer_order(zip(t, t)) == want
+    assert stabilizer_order(iter(t)) == want
+
+
+def test_place_map_memo_is_keyed_on_residue_patterns():
+    # at n = 2, r = 2 every key is a pair of residue tuples in {0, 1}^2; the
+    # oracles' own memos are cleared too, so that the suite reaches the kernel
+    for memo in (weyl._place_maps, dual._schur_basis_product, tensor._action_basis_product):
+        memo.cache_clear()
+    assert run_suite("oracle-equivalence", n=2, r=2)["passed"]
+    info = weyl._place_maps.cache_info()
+    assert info.misses and info.hits >= info.misses
+    assert info.currsize <= 16
