@@ -9,12 +9,11 @@ they share: equality, hashing, addition, negation and scaling.
 The public constructor is for input from outside the program: it normalizes
 or rejects every key, coerces every coefficient, and raises ``ValueError`` on
 malformed input, also under ``python -O``.  Its checks are the same for
-every input, with direct paths for exact scalars: ``schur`` checks a label in
-one pass over its pairs, an exact ``int`` or ``Fraction`` coefficient becomes
-a ``Laurent`` through ``Laurent.gen`` without the general coercion, and
-``scale`` multiplies by such a scalar without building a ``Laurent``.  The
-two trusted constructors are for results computed inside the package whose
-keys are already normal and whose coefficients are already coerced.
+every input, with a direct path for exact scalars: ``schur`` checks a label
+in one pass over its pairs, and an exact ``int`` or ``Fraction`` coefficient
+becomes a ``Laurent`` through ``Laurent.gen`` without the general coercion.
+The two trusted constructors are for results computed inside the package
+whose keys are already normal and whose coefficients are already coerced.
 ``_from_items`` only adds the coefficients of equal keys and drops the zero
 sums.  ``_trusted`` takes a finished dict with no zero coefficient and checks
 nothing: ``schur.multiply`` sums its coefficients itself and builds its
@@ -222,12 +221,8 @@ class Combination:
 
     def scale(self, coeff):
         """coeff times self.  The coefficient rings have no zero divisors, so
-        only a zero coeff makes a product of coefficients zero.  An exact
-        ``int`` or ``Fraction`` multiplies each coefficient as a scalar; any
-        other coeff is coerced first."""
-        kind = type(coeff)
-        if kind is not int and kind is not Fraction:
-            coeff = self._coeff(coeff)
+        only a zero coeff makes a product of coefficients zero."""
+        coeff = self._coeff(coeff)
         if not coeff:
             return self._trusted(self.context, {})
-        return self._trusted(self.context, {k: c * coeff for k, c in self.terms.items()})
+        return self._trusted(self.context, {k: coeff * c for k, c in self.terms.items()})

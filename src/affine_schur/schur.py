@@ -39,17 +39,19 @@ def canonicalize(i, j, n):
     """
     if len(i) != len(j):
         raise ValueError("tuple lengths differ: %d vs %d" % (len(i), len(j)))
-    pairs = [((ik - 1) % n + 1, jk - (ik - 1) // n * n) for ik, jk in zip(i, j)]
-    pairs.sort()
-    return tuple(pairs)
+    pairs = []
+    for ik, jk in zip(i, j):
+        top = bar(ik, n)
+        pairs.append((top, jk + top - ik))
+    return tuple(sorted(pairs))
 
 
 def index_tops(pairs):
-    return tuple([p[0] for p in pairs])
+    return tuple(p[0] for p in pairs)
 
 
 def index_bottoms(pairs):
-    return tuple([p[1] for p in pairs])
+    return tuple(p[1] for p in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +297,7 @@ class AlgebraElement(Combination):
 
     def _key(self, pairs):
         n, r = self.context
-        pairs = tuple([tuple(p) for p in pairs])
+        pairs = tuple(tuple(p) for p in pairs)
         if len(pairs) != r:
             raise ValueError(
                 "label %s has %d pairs, the element has r=%d" % (pairs, len(pairs), r)

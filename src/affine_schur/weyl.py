@@ -7,13 +7,15 @@ shifts are then forced, so the solutions are products of one bijection per
 residue class: prod m_c! of them rather than r!.  Which place each place goes
 to depends only on the residues of b and u mod n, so the kernel reads the
 place maps from a table memoized per pair of residue tuples.  The table has
-one entry per pattern met and no other bound.  An entry holds prod m_c!
-maps, so the largest at r <= 8 is the one pattern of n = 1, r = 8: all
-40,320 maps, about 4.7 MB (CPython 3.11); each further place multiplies
-that by r.  ``affine_matchings(b, u, n)`` yields the solutions as
-elements, for the affine transfer calculus; ``affine_images(b, u, t, n)``
-yields only t.w, which has u_k + t_p - b_p at place k when w sends k to p,
-for the tensor and dual product oracles.
+one entry per pattern met and no other bound, and an entry is held until the
+process ends.  An entry holds prod m_c! maps: the one pattern of n = 1,
+r = 8 holds all 40,320 maps, about 4.7 MB (CPython 3.11), and each further
+place multiplies that by r.  The oracle engines that read it take any r.
+``affine_matchings(b, u, n)`` yields the solutions as elements, for the
+affine transfer calculus; ``affine_images(b, u, t, n)`` yields only t.w,
+which has u_k + t_p - b_p at place k when w sends k to p, for the tensor and
+dual product oracles.  ``equivalent_middle`` takes only the first solution
+but reads the whole entry too; only tests call it, at small r.
 
 ``stabilizer_order(t)`` is the order of the group of place permutations that
 fix a tuple, prod m! over the multiplicities m of its entries; the collapse
@@ -335,6 +337,7 @@ def tuple_orbit_rep(t, n):
 def stabilizer_order(t):
     """Number of place permutations fixing the tuple (or iterable) t: prod m!
     over the multiplicities m of its entries, 1 when they are distinct."""
+    # About four in five arguments over the verify suites are distinct.
     t = tuple(t)
     if len(set(t)) == len(t):
         return 1
