@@ -27,7 +27,7 @@ _EXPORTS = {
         "transpose_antiauto",
         "weyl_act",
     ),
-    "dual": ("delta_pair", "multiply_schur_oracle", "pair"),
+    "dual": ("multiply_schur_oracle",),
     "tensor": ("TensorVector", "act", "multiply_via_action", "weyl_right_act"),
     "homs": ("det_star", "det_tilde_sharp", "psi_a", "psi_a0", "psi_as"),
     "semigroup": (

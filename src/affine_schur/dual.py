@@ -1,11 +1,21 @@
-"""Operational coordinate-coalgebra machinery: the evaluation pairing, the
-comultiplication pairing, and the middle-tuple-counting product oracle.
+"""Operational coordinate-coalgebra machinery: the middle-tuple product
+oracle and the coalgebra-side maps of the duality checks.
 
 The comultiplication of a coordinate monomial is an infinite formal sum, so it
 is never materialized; every use here factors through finite pairings against
-dual basis vectors.  The product oracle counts, for each candidate output
-label, the middle tuples s compatible with both factors.  It shares nothing
-with the double-coset engine except the canonical labelling itself.
+dual basis vectors.  The coefficient of xi_c in xi_x * xi_y counts the middle
+tuples s that split c into an x-compatible and a y-compatible part.  For a
+canonical x = (i, j) the middles form one orbit under the place permutations
+fixing i, and the count is constant on the orbits of the bottoms, so one
+middle suffices: with stab the order of a label's stabilizer (``weyl``'s
+``stabilizer_order`` of its pairs),
+
+    z_c = stab(c) / stab(x) * #{q : (j, q) in the orbit of y, (i, q) ~ c},
+
+the q being the distinct images l.w over every w with k.w = j, y = (k, l).
+The division is exact; a remainder raises ``ArithmeticError``.  The oracle
+shares nothing with the double-coset engine except the canonical labelling
+and the matching kernel.
 
 The coalgebra-side maps are row-finite and compose one label at a time.  The
 algebra is the dual of this coalgebra, so each algebra-side map is the
@@ -26,32 +36,7 @@ from .schur import (
     index_tops,
     split_offsets,
 )
-from .weyl import affine_images, all_perms, perm_sign
-
-
-def pair(xi_pairs, c_pairs):
-    """Evaluation pairing of a basis element against a coordinate monomial."""
-    return 1 if tuple(xi_pairs) == tuple(c_pairs) else 0
-
-
-def delta_pair(x_pairs, y_pairs, c_pairs, n):
-    """Number of middle tuples s splitting c as (x-compatible, y-compatible)."""
-    p = index_tops(c_pairs)
-    q = index_bottoms(c_pairs)
-    i = index_tops(x_pairs)
-    if sorted(p) != sorted(i):
-        return 0
-    count = 0
-    for s in _middles_matching(x_pairs, p, n):
-        if canonicalize(s, q, n) == tuple(y_pairs):
-            count += 1
-    return count
-
-
-def _middles_matching(x_pairs, p, n):
-    """Distinct s with (p, s) in the orbit of x = (i, j), p a permutation of i:
-    s = j.w for a w with i.w = p, so s_k = p_k + j_m - i_m when w sends k to m."""
-    return set(affine_images(index_tops(x_pairs), p, index_bottoms(x_pairs), n))
+from .weyl import affine_images, all_perms, perm_sign, stabilizer_order
 
 
 def multiply_schur_oracle(x, y):
@@ -61,26 +46,20 @@ def multiply_schur_oracle(x, y):
 
 @lru_cache(maxsize=None)
 def _schur_basis_product(x_pairs, y_pairs, n):
-    i = index_tops(x_pairs)
-    k = index_tops(y_pairs)
-    l = index_bottoms(y_pairs)
-
-    middles = _middles_matching(x_pairs, i, n)
-
-    # Collect candidate output labels constructively: for every admissible
-    # middle s, every alignment w of the second factor onto s produces one.
-    candidates = set()
-    for s in middles:
-        for bottom in affine_images(k, s, l, n):
-            candidates.add(canonicalize(i, bottom, n))
-
+    """xi_x * xi_y for canonical labels x, y, from the one middle j of x."""
+    i, j = index_tops(x_pairs), index_bottoms(x_pairs)
+    counts = {}
+    for q in set(affine_images(index_tops(y_pairs), j, index_bottoms(y_pairs), n)):
+        c = canonicalize(i, q, n)
+        counts[c] = counts.get(c, 0) + 1
+    stab_x = stabilizer_order(x_pairs)
     out = {}
-    for cand in candidates:
-        q_star = index_bottoms(cand)
-        assert index_tops(cand) == tuple(sorted(i))
-        z = sum(1 for s in middles if canonicalize(s, q_star, n) == y_pairs)
-        if z:
-            out[cand] = z
+    for c, count in counts.items():
+        z, rem = divmod(stabilizer_order(c) * count, stab_x)
+        if rem:
+            raise ArithmeticError("non-integral middle-tuple count for %s * %s (n=%d)"
+                                  % (x_pairs, y_pairs, n))
+        out[c] = z
     return out
 
 

@@ -99,6 +99,21 @@ def _basis_elem(n, r, pairs):
     return AlgebraElement(n, r, {pairs: 1})
 
 
+def _basis_of(n, r):
+    """label -> its basis element, built through the public constructor the
+    first time a label is drawn and shared after that; the elements are
+    immutable, and the dict lives as long as the function."""
+    built = {}
+
+    def basis(pairs):
+        x = built.get(pairs)
+        if x is None:
+            x = built[pairs] = _basis_elem(n, r, pairs)
+        return x
+
+    return basis
+
+
 def _random_element(rng, n, r, window):
     idxs = basis_indices(n, r, window)
     terms = {}
@@ -135,8 +150,8 @@ def _oracle_pairs(n, r, window, budget, rng):
     return [(rng.choice(idxs), rng.choice(idxs)) for _ in range(budget)]
 
 
-def _three_way_failure(engines, n, r, pair):
-    x, y = _basis_elem(n, r, pair[0]), _basis_elem(n, r, pair[1])
+def _three_way_failure(engines, basis, n, pair):
+    x, y = basis(pair[0]), basis(pair[1])
     g, s, t = (product(x, y) for product in engines)
     if not (g == s == t):
         return {"left": str(x), "right": str(y), "green": str(g),
@@ -162,12 +177,12 @@ def suite_oracle_equivalence(n=None, r=None, window=2, budget=800, seed=20240601
 
     engines = (multiply, multiply_schur_oracle, multiply_via_action)
     rng = random.Random(seed)
-    checks = [
-        _check("three-way-product-n%d-r%d" % (nn, rr),
-               _oracle_pairs(nn, rr, window, budget, rng),
-               lambda pair: _three_way_failure(engines, nn, rr, pair))
-        for nn, rr in _grid(n, r)
-    ]
+    checks = []
+    for nn, rr in _grid(n, r):
+        basis = _basis_of(nn, rr)
+        checks.append(_check("three-way-product-n%d-r%d" % (nn, rr),
+                             _oracle_pairs(nn, rr, window, budget, rng),
+                             lambda pair: _three_way_failure(engines, basis, nn, pair)))
     b = AlgebraElement.basis
     worked = [  # pinned worked values, all engines
         ("worked-square-degree2", b(1, (1, 1), (1, 2)), b(1, (1, 1), (1, 2)),
@@ -194,16 +209,17 @@ def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602):
     for nn, rr in _grid(n, r):
         idxs = basis_indices(nn, rr, window)
         e, zero = identity(nn, rr), AlgebraElement.zero(nn, rr)
+        basis = _basis_of(nn, rr)
         # orthogonal idempotent decomposition
         diag = [_basis_elem(nn, rr, tuple((v, v) for v in t))
                 for t in weakly_increasing_tuples(nn, rr)]
         checks += [
             _check("associativity-n%d-r%d" % (nn, rr),
-                   (tuple(_basis_elem(nn, rr, rng.choice(idxs)) for _ in range(3))
+                   (tuple(basis(rng.choice(idxs)) for _ in range(3))
                     for _ in range(triples)),
                    _associativity_failure),
             _check("identity-laws-n%d-r%d" % (nn, rr),
-                   [_basis_elem(nn, rr, i) for i in rng.sample(idxs, min(len(idxs), 50))],
+                   [basis(i) for i in rng.sample(idxs, min(len(idxs), 50))],
                    lambda x: None if multiply(e, x) == x == multiply(x, e)
                    else {"x": str(x)}),
             _check("orthogonal-idempotents-n%d-r%d" % (nn, rr),

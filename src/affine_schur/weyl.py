@@ -19,7 +19,8 @@ but reads the whole entry too; only tests call it, at small r.
 
 ``stabilizer_order(t)`` is the order of the group of place permutations that
 fix a tuple, prod m! over the multiplicities m of its entries; the collapse
-map's index weights and the tensor action's stabilizer division both use it.
+map's index weights, the tensor action's stabilizer division and the
+middle-tuple product's weight stab(c) / stab(x) use it.
 
 Permutations of {1..r} are stored as image tuples sigma with sigma[k-1] being
 the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),

@@ -54,10 +54,20 @@ def _suite_passed(report):
     return report["passed"], sum(c["count"] for c in report["checks"])
 
 
+def _counts(report):
+    return [(c["name"], c["count"]) for c in report["checks"]]
+
+
 def test_criterion_1_three_way_oracle():
     report = run_suite("oracle-equivalence", window=2, budget=1300)
     passed, count = _suite_passed(report)
     assert count >= 3000, "expected several thousand pairs, got %d" % count
+    # every pair of a small context, a sample of the budget on a larger one
+    assert _counts(report) == [
+        ("three-way-product-n%d-r%d" % (n, r), min(len(basis_indices(n, r, 2)) ** 2, 1300))
+        for n in (1, 2, 3)
+        for r in (1, 2, 3)
+    ] + [("worked-square-degree2", 1), ("worked-finite-product", 1)]
     _report(1, "three-way multiplication oracle, %d pairs" % count, passed)
 
 
@@ -74,10 +84,6 @@ def test_criterion_2_worked_values():
         multiply(a, b) == multiply_schur_oracle(a, b) == multiply_via_action(a, b) == want2
     )
     _report(2, "worked product values via all three engines", ok)
-
-
-def _counts(report):
-    return [(c["name"], c["count"]) for c in report["checks"]]
 
 
 def test_criterion_3_ring_axioms():
@@ -163,6 +169,14 @@ def test_criterion_7_loop_algebra_suite():
     ]
     gen_report = run_suite("generators", window=1)
     gpassed, gcount = _suite_passed(gen_report)
+    assert _counts(gen_report) == [
+        ("y-decomposition-n%d-r%d" % (n, r), len(basis_indices(n, r, 1)))
+        for n in (1, 2, 3)
+        for r in (1, 2, 3)
+    ] + [
+        ("x-decomposition-n%d-r%d" % (n, r), len(basis_indices(n, r, 1)))
+        for n, r in ((2, 1), (3, 1), (3, 2))
+    ] + [("generator-families", 2)]
     _report(
         7,
         "loop-algebra bracket/transfer + generator decompositions, %d checks"

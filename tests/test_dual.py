@@ -1,24 +1,75 @@
+import itertools
 import random
 
 import pytest
 
+from affine_schur import dual
 from affine_schur.homs import det_tilde_sharp, psi_as
 from affine_schur.schur import (
     AlgebraElement,
     basis_indices,
     canonicalize,
     identity,
+    index_bottoms,
+    index_tops,
     multiply,
     split_offsets,
+    structure_constants,
     transpose_antiauto,
 )
 from affine_schur.dual import (
-    delta_pair,
+    _schur_basis_product,
     det_multiplication_map,
     multiply_schur_oracle,
-    pair,
     phi_as_map,
 )
+from affine_schur.weyl import affine_images, bar_tuple
+
+
+# -- the coalgebra's pairings at the level of the definition ----------------------
+#
+# The reference the one-middle product is checked against: the coefficient of
+# xi_c in xi_x * xi_y is delta_pair(x, y, c), the number of middle tuples s
+# that split c into an x-compatible and a y-compatible part, taken over every
+# middle and every candidate c.
+
+def pair(xi_pairs, c_pairs):
+    """Evaluation pairing of a basis element against a coordinate monomial."""
+    return 1 if tuple(xi_pairs) == tuple(c_pairs) else 0
+
+
+def _middles_matching(x_pairs, p, n):
+    """Distinct s with (p, s) in the orbit of x = (i, j), p a permutation of i:
+    s = j.w for a w with i.w = p, so s_k = p_k + j_m - i_m when w sends k to m."""
+    return set(affine_images(index_tops(x_pairs), p, index_bottoms(x_pairs), n))
+
+
+def delta_pair(x_pairs, y_pairs, c_pairs, n):
+    """Number of middle tuples s splitting c as (x-compatible, y-compatible)."""
+    p = index_tops(c_pairs)
+    q = index_bottoms(c_pairs)
+    if sorted(p) != sorted(index_tops(x_pairs)):
+        return 0
+    return sum(1 for s in _middles_matching(x_pairs, p, n)
+               if canonicalize(s, q, n) == tuple(y_pairs))
+
+
+def all_middles_product(x_pairs, y_pairs, n):
+    """xi_x * xi_y as {c: delta_pair(x, y, c)}: the candidates c are collected
+    over every middle s and every alignment of y onto s, and each is counted
+    by rescanning every middle."""
+    i = index_tops(x_pairs)
+    k, l = index_tops(y_pairs), index_bottoms(y_pairs)
+    middles = _middles_matching(x_pairs, i, n)
+    candidates = {canonicalize(i, bottom, n)
+                  for s in middles for bottom in affine_images(k, s, l, n)}
+    out = {}
+    for c in candidates:
+        q = index_bottoms(c)
+        z = sum(1 for s in middles if canonicalize(s, q, n) == y_pairs)
+        if z:
+            out[c] = z
+    return out
 
 
 def test_pair_examples():
@@ -91,6 +142,72 @@ def test_oracle_matches_double_coset_engine():
             x = AlgebraElement(n, r, {rng.choice(idxs): 1})
             y = AlgebraElement(n, r, {rng.choice(idxs): 1})
             assert multiply_schur_oracle(x, y) == multiply(x, y)
+
+
+def test_one_middle_product_matches_all_middles_on_every_small_pair():
+    # every composable basis pair at n <= 2, r <= 3, window 1: the right
+    # factor's tops are the left factor's bottom residues
+    count = 0
+    for n, r in itertools.product((1, 2), (1, 2, 3)):
+        idxs = basis_indices(n, r, 1)
+        by_tops = {}
+        for y in idxs:
+            by_tops.setdefault(index_tops(y), []).append(y)
+        for x in idxs:
+            for y in by_tops.get(tuple(sorted(bar_tuple(index_bottoms(x), n))), ()):
+                assert _schur_basis_product.__wrapped__(x, y, n) == all_middles_product(x, y, n)
+                count += 1
+    assert count == 40419
+
+
+def _seeded_composable_pair(rng, n, r):
+    """Labels x, y at n with offsets in {-1, 0, 1}, y's tops x's bottom residues."""
+    x = canonicalize([rng.randint(1, n) for _ in range(r)],
+                     [rng.randint(1 - n, 2 * n) for _ in range(r)], n)
+    y = canonicalize(bar_tuple(index_bottoms(x), n),
+                     [rng.randint(1 - n, 2 * n) for _ in range(r)], n)
+    return x, y
+
+
+def test_one_middle_product_matches_all_middles_on_seeded_pairs():
+    rng = random.Random(13)
+    for n, r in itertools.product((1, 2, 3), (3, 4, 5)):
+        for _ in range(12):
+            x, y = _seeded_composable_pair(rng, n, r)
+            want = all_middles_product(x, y, n)
+            assert want
+            assert _schur_basis_product.__wrapped__(x, y, n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("r", [7, 8])
+def test_oracle_matches_greens_engine_at_degree_seven_and_eight(n, r):
+    # beyond the tensor oracle's reach: Green's values against the one-middle
+    # count on ten seeded composable pairs per cell
+    rng = random.Random("one-middle:%d:%d" % (n, r))
+    for _ in range(10):
+        x, y = _seeded_composable_pair(rng, n, r)
+        want = structure_constants(x, y, n)
+        assert want
+        assert _schur_basis_product.__wrapped__(x, y, n) == want
+
+
+def test_oracle_matches_greens_engine_on_the_heavy_degree_seven_product():
+    x = AlgebraElement.basis(1, (1,) * 7, (-3, -1, 0, 1, 2, 3, 4))
+    y = AlgebraElement.basis(1, (1,) * 7, (-3, -2, 0, 1, 2, 3, 5))
+    want = multiply(x, y)
+    assert len(want.terms) > 1000
+    assert multiply_schur_oracle(x, y) == want
+
+
+def test_oracle_rejects_a_non_integral_count(monkeypatch):
+    # x = [(1,1)|(1,1)] times [(1,1)|(1,2)] at n = 1 meets two bottoms q that
+    # both give the one output; a stabilizer order of 3 for x and of 1 for
+    # every other label leaves it 2 / 3
+    x = ((1, 1), (1, 1))
+    monkeypatch.setattr(dual, "stabilizer_order", lambda pairs: 3 if pairs == x else 1)
+    with pytest.raises(ArithmeticError, match="non-integral middle-tuple count"):
+        dual._schur_basis_product.__wrapped__(x, ((1, 1), (1, 2)), 1)
 
 
 @pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])

@@ -131,7 +131,7 @@ _ORACLE_IMPORTS = {
     "dual": {
         "schur": {"bilinear", "canonicalize", "index_bottoms", "index_tops",
                   "split_offsets"},
-        "weyl": {"affine_images", "all_perms", "perm_sign"},
+        "weyl": {"affine_images", "all_perms", "perm_sign", "stabilizer_order"},
     },
     "tensor": {
         "schur": {"bilinear", "canonicalize", "index_bottoms", "index_tops",

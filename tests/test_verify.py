@@ -5,7 +5,8 @@ import pytest
 
 from affine_schur import homs
 from affine_schur.laurent import Laurent
-from affine_schur.verify import SUITES, _check, run_suite
+from affine_schur.schur import AlgebraElement
+from affine_schur.verify import SUITES, _basis_of, _check, run_suite
 
 
 def test_check_stops_at_the_first_counterexample():
@@ -30,6 +31,19 @@ def test_check_counts_every_passing_case_then_reads_the_side_conditions():
     side = [None, {"id": 1}, {"id": 2}]
     assert _check("toy", range(3), lambda case: None, side=side) == {
         "name": "toy", "passed": False, "count": 3, "detail": {"id": 1}}
+
+
+def test_basis_of_builds_each_label_once_through_the_public_constructor():
+    basis = _basis_of(2, 2)
+    label = ((1, 3), (2, 0))
+    x = basis(label)
+    assert basis(label) is x
+    assert x == AlgebraElement(2, 2, {label: 1})
+    # a label that is not canonical is rejected on its first draw
+    with pytest.raises(ValueError, match="is not canonical for n=2"):
+        basis(((2, 0), (1, 3)))
+    with pytest.raises(ValueError, match="has 1 pairs, the element has r=2"):
+        basis(((1, 1),))
 
 
 @pytest.mark.parametrize(
