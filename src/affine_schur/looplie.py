@@ -65,11 +65,31 @@ def pi_tilde(m, r):
 
 
 def lie_bracket_check(x, y, r):
-    """Whether the bracket xy - yx of two periodic matrices maps to the
-    commutator of their images; matrices of two periods raise ``ValueError``."""
-    bracket = x * y - y * x
-    px, py = pi_tilde(x, r), pi_tilde(y, r)
-    return pi_tilde(bracket, r) == multiply(px, py) - multiply(py, px)
+    """The two-matrix case of ``lie_bracket_law``: whether xy - yx maps to the
+    commutator of the images; matrices of two periods raise ``ValueError``."""
+    return lie_bracket_law((x, y), (r,))(0, 1, r)
+
+
+def lie_bracket_law(ms, rs):
+    """The bracket law on periodic matrices ``ms`` in the degrees ``rs``: a
+    predicate on (i, j, r), whether [m_i, m_j] maps to the commutator of their
+    images.  It builds each bracket once for all degrees and each product of
+    images once for the checks (i, j, r) and (j, i, r); its tables live with it."""
+    images = {r: [pi_tilde(m, r) for m in ms] for r in rs}
+    brackets, products = {}, {}
+
+    def product(i, j, r):  # the second of its two uses takes it out
+        p = products.pop((i, j, r), None)
+        if p is None:
+            p = products[i, j, r] = multiply(images[r][i], images[r][j])
+        return p
+
+    def holds(i, j, r):
+        if (i, j) not in brackets:
+            brackets[i, j] = ms[i] * ms[j] - ms[j] * ms[i]
+        return pi_tilde(brackets[i, j], r) == product(i, j, r) - product(j, i, r)
+
+    return holds
 
 
 def generator_set(kind, n, r, window=1):

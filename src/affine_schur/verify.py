@@ -14,10 +14,16 @@ for any other parameter, so ``affine-schur verify`` exits 1 with a message:
   generators          window
 
 The first two take n and r together, or neither for every n, r <= 3.
+
+A suite computes each value its cases share once, in a table that lives for one
+call: the drawn basis elements of a grid cell and, in ring-axioms, their
+products; in hom-laws the inner image psi_s'(x) for all s; and in lie each
+bracket for all degrees and each product of images for both orders of its pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -52,11 +58,10 @@ _LEAST = {"n": 1, "r": 0, "window": 0, "budget": 0, "triples": 0, "offset": 0, "
 def run_suite(name, **params):
     """Run one suite; ``ValueError`` for a parameter it does not take or a size
     parameter below its least value."""
-    import inspect  # here, not at the top: it adds about 5 ms to every CLI start
-
     if name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s)" % (name, ", ".join(SUITES)))
-    takes = inspect.signature(SUITES[name]).parameters
+    code = SUITES[name].__code__  # its parameters, without importing inspect
+    takes = code.co_varnames[:code.co_argcount]
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise ValueError("suite %s takes no parameter %s; it takes %s"
@@ -99,23 +104,28 @@ def _basis_elem(n, r, pairs):
     return AlgebraElement(n, r, {pairs: 1})
 
 
+def _shared(compute, key=None):
+    """``compute``, each value built once per ``key(*args)`` (by default the
+    arguments) and kept as long as the function; a key may hold the identity
+    of an argument that outlives the table, such as a value in it."""
+    table = {}
+
+    def get(*args):
+        k = args if key is None else key(*args)
+        if k not in table:
+            table[k] = compute(*args)
+        return table[k]
+
+    return get
+
+
 def _basis_of(n, r):
-    """label -> its basis element, built through the public constructor the
-    first time a label is drawn and shared after that; the elements are
-    immutable, and the dict lives as long as the function."""
-    built = {}
-
-    def basis(pairs):
-        x = built.get(pairs)
-        if x is None:
-            x = built[pairs] = _basis_elem(n, r, pairs)
-        return x
-
-    return basis
+    """label -> its basis element, built through the public constructor on its
+    first draw and shared after that."""
+    return _shared(lambda pairs: _basis_elem(n, r, pairs))
 
 
-def _random_element(rng, n, r, window):
-    idxs = basis_indices(n, r, window)
+def _random_element(rng, n, r, idxs):
     terms = {}
     for _ in range(2):
         coeff = Laurent.gen(rng.randint(-1, 1), Fraction(rng.randint(1, 4)))
@@ -123,11 +133,11 @@ def _random_element(rng, n, r, window):
     return AlgebraElement(n, r, terms)
 
 
-def _random_pairs(rng, k, n, r, window):
-    """``k`` pairs of random elements, drawn only as they are asked for."""
+def _random_pairs(rng, k, n, r, idxs):
+    """``k`` pairs of random elements over ``idxs``, drawn only as they are asked for."""
     for _ in range(k):
-        x = _random_element(rng, n, r, window)
-        yield x, _random_element(rng, n, r, window)
+        x = _random_element(rng, n, r, idxs)
+        yield x, _random_element(rng, n, r, idxs)
 
 
 def _grid(n, r):
@@ -196,9 +206,9 @@ def suite_oracle_equivalence(n=None, r=None, window=2, budget=800, seed=20240601
 
 # -- ring axioms -------------------------------------------------------------------
 
-def _associativity_failure(triple):
+def _associativity_failure(times, triple):
     a, b, c = triple
-    if multiply(multiply(a, b), c) == multiply(a, multiply(b, c)):
+    if times(times(a, b), c) == times(a, times(b, c)):
         return None
     return {"a": str(a), "b": str(b), "c": str(c)}
 
@@ -209,7 +219,7 @@ def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602):
     for nn, rr in _grid(n, r):
         idxs = basis_indices(nn, rr, window)
         e, zero = identity(nn, rr), AlgebraElement.zero(nn, rr)
-        basis = _basis_of(nn, rr)
+        basis, times = _basis_of(nn, rr), _shared(multiply, lambda a, b: (id(a), id(b)))
         # orthogonal idempotent decomposition
         diag = [_basis_elem(nn, rr, tuple((v, v) for v in t))
                 for t in weakly_increasing_tuples(nn, rr)]
@@ -217,7 +227,7 @@ def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602):
             _check("associativity-n%d-r%d" % (nn, rr),
                    (tuple(basis(rng.choice(idxs)) for _ in range(3))
                     for _ in range(triples)),
-                   _associativity_failure),
+                   functools.partial(_associativity_failure, times)),
             _check("identity-laws-n%d-r%d" % (nn, rr),
                    [basis(i) for i in rng.sample(idxs, min(len(idxs), 50))],
                    lambda x: None if multiply(e, x) == x == multiply(x, e)
@@ -236,15 +246,13 @@ def suite_ring_axioms(n=None, r=None, window=1, triples=1000, seed=20240602):
 _PACK = 10 ** 6
 
 
-def _psi_two_var(x, s_outer, s_inner):
-    """Composite with two formal parameters, packed into one exponent lattice.
-
-    Monomials a^p a'^q with |q| < PACK/2 are encoded as single exponents
-    PACK*p + q, a faithful ring embedding on that support; ``_packed`` raises
-    ``ValueError`` for a height outside it rather than alias.
-    """
-    inner = psi_as(x, s_inner, height_scalar=lambda h: _packed(0, h))
-    return psi_as(inner, s_outer, height_scalar=lambda h: _packed(h, 0))
+def _psi_inner(s_inner, x, at):
+    """psi_{s_inner}(x) at a', or with a' formal when ``at`` is None: then a^p a'^q
+    with |q| < PACK/2 is encoded as the single exponent PACK*p + q, a faithful
+    ring embedding on that support; ``_packed`` raises ``ValueError`` for a
+    height outside it rather than alias."""
+    scalar = (lambda h: _packed(0, h)) if at is None else height_at(at[1])
+    return psi_as(x, s_inner, height_scalar=scalar)
 
 
 def _psi_substituted(x, s_outer, s_inner):
@@ -264,15 +272,17 @@ def _packed(p, q):
     return Laurent.gen(_PACK * p + q)
 
 
-def _psi_composition_failure(case):
-    """psi_s psi_s' = psi_ss': formally when ``at`` is None, else at (a, a')."""
+def _psi_composition_failure(inner_of, case):
+    """psi_s psi_s' = psi_ss': formally when ``at`` is None, else at (a, a');
+    ``inner_of(s', x, at)`` is the inner image psi_s'(x)."""
     s, s2, x, at = case
+    inner = inner_of(s2, x, at)
     if at is None:
-        if _psi_two_var(x, s, s2) == _psi_substituted(x, s, s2):
+        outer = psi_as(inner, s, height_scalar=lambda h: _packed(h, 0))
+        if outer == _psi_substituted(x, s, s2):
             return None
         return {"s": s, "s'": s2, "x": str(x)}
     a0, a1 = at
-    inner = psi_as(x, s2, height_scalar=height_at(a1))
     if (psi_as(inner, s, height_scalar=height_at(a0))
             == psi_as(x, s * s2, height_scalar=height_at(a1 * a0 ** s2))):
         return None
@@ -325,16 +335,17 @@ def suite_hom_laws(n=2, r=2, window=1, seed=20240603):
     return [
         _check("psi-composition-law",
                itertools.product(range(-2, 3), range(-2, 3), sample, at),
-               _psi_composition_failure),
-        _check("psi-multiplicative", _random_pairs(rng, 60, n, r, window),
+               functools.partial(_psi_composition_failure, _shared(
+                   _psi_inner, lambda s2, x, at: (s2, id(x), at)))),
+        _check("psi-multiplicative", _random_pairs(rng, 60, n, r, idxs),
                _psi_multiplicative_failure),
         _check("transpose-antiautomorphism",
                itertools.chain(((x, None) for x in sample),
-                               _random_pairs(rng, 40, n, r, window)),
+                               _random_pairs(rng, 40, n, r, idxs)),
                _transpose_failure,
                side=[None if transpose_antiauto(e) == e else {"id": True}]),
         _check("weyl-action-automorphisms",
-               ((w, x, y) for w in syms for x, y in _random_pairs(rng, 20, n, r, window)),
+               ((w, x, y) for w in syms for x, y in _random_pairs(rng, 20, n, r, idxs)),
                _weyl_hom_failure,
                side=itertools.chain(
                    (None if weyl_act(w, e) == e else {"window": w.window, "id": True}
@@ -620,21 +631,24 @@ def _duality_cases(n):
 
 # -- lie suite ----------------------------------------------------------------------------
 
-def _generator_cases(ts):
-    """(n, r, s, t) for n = 2, 3, r = 1, 2, s = 1..n and t in ts(n, s)."""
+def _generator_cases(ts=lambda n, s: (s + 1, s - 1)):
+    """(n, r, s, t): n = 2, 3, r = 1, 2, s = 1..n, t in ts(n, s), by default s +- 1."""
     return ((n, r, s, t) for n in (2, 3) for r in (1, 2)
             for s in range(1, n + 1) for t in ts(n, s))
 
 
 def _det_transfer_failure(case):
+    """det~#(pi(m, n + r)) = pi(m, r) for m = E_st, or E_st E_s't' via pi's product."""
     from .looplie import pi_tilde
     from .semigroup import PeriodicMatrix
 
-    n, r, s, t = case
-    m = PeriodicMatrix.unit(n, s, t)
-    if det_tilde_sharp(pi_tilde(m, n + r)) == pi_tilde(m, r):
+    n, r, *st = case
+    units = [PeriodicMatrix.unit(n, s, t) for s, t in zip(st[::2], st[1::2])]
+    big, small = (functools.reduce(multiply, [pi_tilde(m, d) for m in units])
+                  for d in (n + r, r))
+    if det_tilde_sharp(big) == small:
         return None
-    return {"n": n, "r": r, "s": s, "t": t}
+    return dict(zip(("n", "r", "s", "t", "s'", "t'"), case))
 
 
 def _collapse_failure(case):
@@ -662,7 +676,7 @@ def _centralize_failure(case):
 
 
 def suite_lie(offset=2, seed=20240606):
-    from .looplie import lie_bracket_check
+    from .looplie import lie_bracket_law
     from .semigroup import PeriodicMatrix
     from .tensor import TensorVector
 
@@ -672,17 +686,22 @@ def suite_lie(offset=2, seed=20240606):
         rows, offsets = range(1, n + 1), range(-offset, offset + 1)
         gens = [PeriodicMatrix.unit(n, s, res + n * e)
                 for s, res, e in itertools.product(rows, rows, offsets)]
+        holds, ij = lie_bracket_law(gens, (1, 2, 3)), range(len(gens))
         checks += [
-            _check("bracket-n%d-r%d" % (n, r), itertools.product(gens, repeat=2),
-                   lambda p: None if lie_bracket_check(p[0], p[1], r)
-                   else {"g1": repr(p[0]), "g2": repr(p[1]), "r": r})
+            _check("bracket-n%d-r%d" % (n, r), itertools.product(ij, repeat=2),
+                   lambda p: None if holds(p[0], p[1], r)
+                   else {"g1": repr(gens[p[0]]), "g2": repr(gens[p[1]]), "r": r})
             for r in (1, 2, 3)
         ]
     r = 2  # images of degree two centralize the right action
     return checks + [
-        # transfer compatibility on the row +- 1 generators
-        _check("det-transfer-of-generator-images",
-               _generator_cases(lambda n, s: (s + 1, s - 1)), _det_transfer_failure),
+        # transfer compatibility on the row +- 1 generators and their products
+        _check("det-transfer-of-generator-images", _generator_cases(),
+               _det_transfer_failure),
+        _check("det-transfer-of-image-products",
+               (case + (s2, t2) for case in _generator_cases()
+                for s2 in range(1, case[0] + 1) for t2 in (s2 + 1, s2 - 1)),
+               _det_transfer_failure),
         _check("collapse-of-generator-images",
                _generator_cases(lambda n, s: range(s - 2 * n, s + 2 * n + 1)),
                _collapse_failure),

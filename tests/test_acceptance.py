@@ -164,6 +164,7 @@ def test_criterion_7_loop_algebra_suite():
         for r in (1, 2, 3)
     ] + [
         ("det-transfer-of-generator-images", 20),
+        ("det-transfer-of-image-products", 104),
         ("collapse-of-generator-images", 114),
         ("images-centralize-right-action", 150),
     ]

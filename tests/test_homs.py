@@ -179,11 +179,16 @@ def test_apply_hom_dispatch(capsys):
 
 
 def test_two_variable_check_rejects_heights_at_the_packing_bound():
-    from affine_schur.verify import _PACK, _psi_substituted, _psi_two_var
+    from affine_schur.verify import (
+        _PACK,
+        _psi_composition_failure,
+        _psi_inner,
+        _psi_substituted,
+    )
 
     below = AlgebraElement(2, 1, {((1, 1 + 2 * (_PACK // 2 - 1)),): 1})
-    assert _psi_two_var(below, 1, 1) == _psi_substituted(below, 1, 1)
+    assert _psi_composition_failure(_psi_inner, (1, 1, below, None)) is None
     at = AlgebraElement(2, 1, {((1, 1 + 2 * (_PACK // 2)),): 1})
-    for check in (_psi_two_var, _psi_substituted):
+    for check in (lambda x: _psi_inner(1, x, None), lambda x: _psi_substituted(x, 1, 1)):
         with pytest.raises(ValueError):
-            check(at, 1, 1)
+            check(at)

@@ -1,9 +1,11 @@
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from affine_schur import homs
+from affine_schur import homs, looplie, verify
+from affine_schur.cli import main
 from affine_schur.laurent import Laurent
 from affine_schur.schur import AlgebraElement
 from affine_schur.verify import SUITES, _basis_of, _check, run_suite
@@ -157,3 +159,46 @@ def test_duality_check_fails_under_each_mutant(monkeypatch, mutant):
     if mutant == "psi-inverse-height":
         failed = [c["name"] for c in run_suite("hom-laws")["checks"] if not c["passed"]]
         assert failed == ["psi-worked-value"]
+
+
+def _reversed_products(mp):
+    multiply = looplie.multiply
+    mp.setattr("affine_schur.looplie.multiply", lambda x, y: multiply(y, x))
+
+
+def _psi_rescaled_at_two(mp):
+    psi_as = verify.psi_as
+    mp.setattr("affine_schur.verify.psi_as", lambda x, s, **kw: psi_as(
+        x, s + 1 if abs(s) == 2 else s, **kw))
+
+
+# Mutants of the values a suite shares across its cases: each makes the
+# checks named next to it fail.
+_SHARED_VALUE_MUTANTS = {
+    # the bracket predicate's products taken in reverse order
+    "reversed-bracket-products": ("lie", _reversed_products, [
+        "bracket-n%d-r%d" % (n, r) for n in (2, 3) for r in (1, 2, 3)]),
+    # psi_as rescales by s + 1 when |s| = 2
+    "psi-rescaled-at-two": ("hom-laws", _psi_rescaled_at_two, ["psi-composition-law"]),
+    # det_tilde_sharp loses its signs
+    "unsigned-det-sharp": ("lie", lambda mp: mp.setattr(
+        "affine_schur.weyl.perm_sign", lambda sigma: 1), ["det-transfer-of-image-products"]),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_SHARED_VALUE_MUTANTS))
+def test_suite_checks_fail_under_each_shared_value_mutant(monkeypatch, mutant):
+    suite, apply, names = _SHARED_VALUE_MUTANTS[mutant]
+    apply(monkeypatch)
+    checks = {c["name"]: c for c in run_suite(suite)["checks"]}
+    assert [name for name in names if checks[name]["passed"]] == []
+
+
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_verify_report_matches_its_golden_file(capsys, suite):
+    # the JSON report of each suite at its defaults, byte for byte
+    assert main(["verify", suite, "--json"]) == 0
+    assert capsys.readouterr().out == (_GOLDEN / ("verify-%s.json" % suite)).read_text()
