@@ -64,12 +64,6 @@ def pi_tilde(m, r):
     return AlgebraElement._from_items((n, r), items())
 
 
-def lie_bracket_check(x, y, r):
-    """The two-matrix case of ``lie_bracket_law``: whether xy - yx maps to the
-    commutator of the images; matrices of two periods raise ``ValueError``."""
-    return lie_bracket_law((x, y), (r,))(0, 1, r)
-
-
 def lie_bracket_law(ms, rs):
     """The bracket law on periodic matrices ``ms`` in the degrees ``rs``: a
     predicate on (i, j, r), whether [m_i, m_j] maps to the commutator of their

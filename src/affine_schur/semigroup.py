@@ -1,7 +1,7 @@
-"""Periodic matrices: the shift-periodic matrix algebra, its Laurent-matrix
-realization, offset-rescaling endomorphisms, the affine determinant and the
-semigroup memberships it cuts out, conjugation by Weyl symmetries, evaluation
-into the algebra, and the constructive nonvanishing witness.
+"""Periodic matrices: the shift-periodic matrix algebra, offset-rescaling
+endomorphisms, the affine determinant and the semigroup memberships it cuts
+out, conjugation by Weyl symmetries, evaluation into the algebra, and the
+constructive nonvanishing witness.
 
 A periodic matrix stores entries on rows 1..n only; the entry at (i, j) for
 arbitrary integer i is read off by shifting both indices by a multiple of n.
@@ -59,29 +59,6 @@ class PeriodicMatrix(Combination):
 
     def transpose(self):
         return PeriodicMatrix(self.n, (((j, i), v) for (i, j), v in self.terms.items()))
-
-    def to_laurent_matrix(self):
-        """The n x n matrix over Q[t, t^-1]: entry (i,j) collects offsets."""
-        mat = [[Laurent.zero() for _ in range(self.n)] for _ in range(self.n)]
-        for (i, j), v in self.terms.items():
-            col = bar(j, self.n)
-            off = (j - col) // self.n
-            mat[i - 1][col - 1] = mat[i - 1][col - 1] + Laurent.gen(
-                off, v.constant_value()
-            )
-        return mat
-
-    @classmethod
-    def from_laurent_matrix(cls, mat):
-        n = len(mat)
-        if any(len(row) != n for row in mat):
-            raise ValueError("a Laurent matrix is square")
-        return cls(n, (
-            ((i, j + n * off), c)
-            for i, row in enumerate(mat, 1)
-            for j, entry in enumerate(row, 1)
-            for off, c in entry.terms.items()
-        ))
 
     def __str__(self):
         if not self.terms:

@@ -1,5 +1,5 @@
-"""The extended affine Weyl group, its action on integer tuples, and Young
-subgroup combinatorics: stabilizer partitions, meets, orders, double cosets.
+"""The extended affine Weyl group, its action on integer tuples, Young
+subgroups, and the matching kernel.
 
 One matching kernel finds every w with b.w = u.  Such a w sends the
 positions of u with residue c onto the positions of b with residue c and its
@@ -14,13 +14,16 @@ place multiplies that by r.  The oracle engines that read it take any r.
 ``affine_matchings(b, u, n)`` yields the solutions as elements, for the
 affine transfer calculus; ``affine_images(b, u, t, n)`` yields only t.w,
 which has u_k + t_p - b_p at place k when w sends k to p, for the tensor and
-dual product oracles.  ``equivalent_middle`` takes only the first solution
-but reads the whole entry too; only tests call it, at small r.
+dual product oracles.
 
 ``stabilizer_order(t)`` is the order of the group of place permutations that
 fix a tuple, prod m! over the multiplicities m of its entries; the collapse
 map's index weights, the tensor action's stabilizer division and the
 middle-tuple product's weight stab(c) / stab(x) use it.
+
+``young_subgroup`` lists a Young subgroup given as a set partition of the
+places.  ``double_cosets`` and its ``refines`` are a test oracle, kept here only
+because ``bench/tracer.py`` reads ``weyl.double_cosets`` as a plain attribute.
 
 Permutations of {1..r} are stored as image tuples sigma with sigma[k-1] being
 the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),
@@ -72,12 +75,6 @@ def invert_perm(sigma):
     for k, img in enumerate(sigma, start=1):
         out[img - 1] = k
     return tuple(out)
-
-
-def apply_perm(t, sigma):
-    """Right place-permutation action: result_k = t_{sigma(k)}."""
-    assert len(t) == len(sigma)
-    return tuple(t[s - 1] for s in sigma)
 
 
 def all_perms(r):
@@ -200,9 +197,6 @@ class AffineWeylElement:
         eps = tuple(-self.eps[s - 1] for s in si)
         return AffineWeylElement._unchecked(si, eps)
 
-    def is_identity(self):
-        return self.sigma == identity_perm(self.r) and not any(self.eps)
-
     def __eq__(self, other):
         return (
             isinstance(other, AffineWeylElement)
@@ -217,58 +211,7 @@ class AffineWeylElement:
         return "AffineWeylElement(%s, %s)" % (list(self.sigma), list(self.eps))
 
 
-# -- set partitions (Young subgroup descriptors) -------------------------------
-
-def partition_of(t):
-    """Positions of {1..len(t)} grouped by equal entry; the stabilizer of t."""
-    groups = {}
-    for pos, val in enumerate(t, start=1):
-        groups.setdefault(val, []).append(pos)
-    return canonical_partition(groups.values())
-
-
-def canonical_partition(blocks):
-    blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    cover = sorted(p for b in blocks for p in b)
-    assert cover == list(range(1, len(cover) + 1)), "blocks must partition {1..r}"
-    return blocks
-
-
-def stabilizer(t, n):
-    """Stabilizer partition of a tuple with entries in {1..n}.
-
-    For tuples inside I(n,r) the affine stabilizer equals the finite Young
-    subgroup, which is what this returns; other tuples are rejected.
-    """
-    for v in t:
-        if not 1 <= v <= n:
-            raise ValueError("entry %d outside {1..%d}" % (v, n))
-    return partition_of(t)
-
-
-def meet(*partitions):
-    """Common refinement; the intersection of the corresponding subgroups."""
-    parts = [p for p in partitions if p is not None]
-    assert parts
-    r = sum(len(b) for b in parts[0])
-    key = {}
-    for part in parts:
-        assert sum(len(b) for b in part) == r
-        for bi, block in enumerate(part):
-            for pos in block:
-                key.setdefault(pos, []).append(bi)
-    groups = {}
-    for pos in range(1, r + 1):
-        groups.setdefault(tuple(key[pos]), []).append(pos)
-    return canonical_partition(groups.values())
-
-
-def young_order(partition):
-    out = 1
-    for block in partition:
-        out *= factorial(len(block))
-    return out
-
+# -- Young subgroups, given as set partitions of the places --------------------
 
 def refines(fine, coarse):
     """True if every block of `fine` sits inside a block of `coarse`."""
@@ -296,7 +239,6 @@ def young_subgroup(partition):
                     out[pos - 1] = img
                 extended.append(tuple(out))
         perms = extended
-    assert len(perms) == young_order(partition)
     return tuple(sorted(perms))
 
 
@@ -401,11 +343,6 @@ def affine_images(b, u, t, n):
     """
     shifts = [tp - bp for tp, bp in zip(t, b, strict=True)].__getitem__
     return (tuple(map(operator.add, u, map(shifts, m))) for m in _matchings(b, u, n))
-
-
-def equivalent_middle(j, k, n):
-    """Some w with j.w = k, or None when the residue multisets differ."""
-    return next(affine_matchings(j, k, n), None)
 
 
 def weakly_increasing_tuples(n, r):

@@ -12,7 +12,6 @@ from affine_schur.schur import (
     multiply,
     split_offsets,
 )
-from affine_schur.weyl import meet, partition_of, young_order
 from affine_schur.homs import (
     collapse_index,
     det_star,
@@ -21,6 +20,8 @@ from affine_schur.homs import (
     psi_a0,
     psi_as,
 )
+
+from oracles import meet, partition_of, young_order
 
 
 def _at(x, s, a0):

@@ -1,10 +1,7 @@
-import importlib.util
 import itertools
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
-from math import factorial, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,18 +24,9 @@ from affine_schur.schur import (
     weyl_act,
 )
 from affine_schur.tensor import multiply_via_action
-from affine_schur.weyl import (
-    AffineWeylElement,
-    all_perms,
-    apply_perm,
-    bar,
-    bar_tuple,
-    double_cosets,
-    equivalent_middle,
-    meet,
-    partition_of,
-    young_order,
-)
+from affine_schur.weyl import AffineWeylElement, all_perms, bar, bar_tuple, stabilizer_order
+
+from oracles import bench_module, double_coset_product, table_dfs_product
 
 
 def test_canonicalize_examples():
@@ -354,36 +342,6 @@ def test_specialize():
 
 # -- the double-coset formula as a reference ------------------------------------
 
-def _double_coset_product(x_pairs, y_pairs, n):
-    """xi_x * xi_y by brute force: Young-subgroup indices summed over the
-    double cosets H2\\G/H1 that ``double_cosets`` lists element by element."""
-    i = index_tops(x_pairs)
-    j, eps = split_offsets(x_pairs, n)
-    k = index_tops(y_pairs)
-    if sorted(j) != sorted(k):
-        return {}
-    w = equivalent_middle(k, j, n)
-    l_aligned = apply_perm(index_bottoms(y_pairs), w.sigma)
-    l = bar_tuple(l_aligned, n)
-    eps2 = tuple((b - v) // n for b, v in zip(l_aligned, l))
-    part_i, part_j, part_eps = partition_of(i), partition_of(j), partition_of(eps)
-    h2 = meet(part_j, partition_of(l), partition_of(eps2))
-    h1 = meet(part_i, part_j, part_eps)
-    out = {}
-    for delta in double_cosets(h2, part_j, h1):
-        l_d = apply_perm(l, delta)
-        eps2_d = apply_perm(eps2, delta)
-        eps_out = tuple(a + b for a, b in zip(eps2_d, eps))
-        numer = young_order(meet(part_i, partition_of(l_d), partition_of(eps_out)))
-        denom = young_order(
-            meet(part_i, part_j, partition_of(l_d), partition_of(eps2_d), part_eps)
-        )
-        assert numer % denom == 0
-        idx = canonicalize(i, tuple(v + n * e for v, e in zip(l_d, eps_out)), n)
-        out[idx] = out.get(idx, 0) + numer // denom
-    return out
-
-
 def _composable_sample(n, r, window, count):
     """`count` distinct seeded pairs (x, y) whose right factor's tops are the
     left factor's bottom residues."""
@@ -404,7 +362,7 @@ def test_product_matches_double_cosets_exhaustive(n, r):
     idxs = basis_indices(n, r, 1)
     for x in idxs:
         for y in idxs:
-            assert structure_constants(x, y, n) == _double_coset_product(x, y, n)
+            assert structure_constants(x, y, n) == double_coset_product(x, y, n)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +370,7 @@ def test_product_matches_double_cosets_exhaustive(n, r):
 )
 def test_product_matches_double_cosets_sampled(n, r, count):
     for x, y in _composable_sample(n, r, 1, count):
-        assert structure_constants(x, y, n) == _double_coset_product(x, y, n)
+        assert structure_constants(x, y, n) == double_coset_product(x, y, n)
 
 
 def _n1_label(offsets):
@@ -430,7 +388,7 @@ _TYPED_R7 = [
 @pytest.mark.parametrize("left,right", _TYPED_R7)
 def test_product_matches_double_cosets_typed_r7(left, right):
     x, y = _n1_label(left), _n1_label(right)
-    assert structure_constants(x, y, 1) == _double_coset_product(x, y, 1)
+    assert structure_constants(x, y, 1) == double_coset_product(x, y, 1)
 
 
 # -- n = 1 beyond the brute-force cap -------------------------------------------
@@ -466,75 +424,12 @@ def test_large_rank_identity_and_psi_a(r):
 
 # -- the table enumeration as a reference -----------------------------------------
 
-def _table_dfs_product(x_pairs, y_pairs, n):
-    """xi_x * xi_y by visiting every contingency table depth first, one
-    recursive call per node: the reference for both the values and the key
-    order of ``structure_constants``."""
-    i, (j, eps) = index_tops(x_pairs), split_offsets(x_pairs, n)
-    k, (l, eps2) = index_tops(y_pairs), split_offsets(y_pairs, n)
-    if sorted(j) != sorted(k):
-        return {}
-    rows, cols = defaultdict(Counter), defaultdict(Counter)
-    for c, top, e in zip(j, i, eps):
-        rows[c][top, e] += 1
-    for c, res, e in zip(k, l, eps2):
-        cols[c][res, e] += 1
-
-    fact = [factorial(m) for m in range(len(x_pairs) + 1)]
-    plan = []
-    for c, row_types in rows.items():
-        caps = list(cols[c].values())
-        for (top, e), need in row_types.items():
-            outs = [(top, res + n * (e + e2)) for res, e2 in cols[c]]
-            plan.append((need, caps, outs))
-
-    out = {}
-    counts = {}
-    chosen = []
-
-    def fill(row, col, left, numer, denom):
-        if not left:
-            row += 1
-            if row == len(plan):
-                idx = tuple(sorted(chosen))
-                out[idx] = out.get(idx, 0) + numer // denom
-                return
-            col, left = 0, plan[row][0]
-        _, caps, outs = plan[row]
-        for b in range(col, len(caps)):
-            cap = caps[b]
-            if not cap:
-                continue
-            pair = outs[b]
-            had = counts.get(pair, 0)
-            for m in range(1, min(left, cap) + 1):
-                caps[b] = cap - m
-                counts[pair] = had + m
-                chosen.extend([pair] * m)
-                fill(row, b + 1, left - m, numer * fact[had + m] // fact[had], denom * fact[m])
-                del chosen[-m:]
-            caps[b] = cap
-            counts[pair] = had
-
-    fill(-1, 0, 0, 1, 1)
-    return out
-
-
-def _bench_module(name):
-    """A module of the benchmark directory, loaded by path and never modified."""
-    path = Path(__file__).resolve().parents[1] / "bench" / ("%s.py" % name)
-    spec = importlib.util.spec_from_file_location("bench_%s" % name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_inputs = _bench_module("inputs")
-symfunc = _bench_module("symfunc")
+bench_inputs = bench_module("inputs")
+symfunc = bench_module("symfunc")
 
 
 def _assert_matches_table_dfs(x, y, n):
-    got, want = structure_constants(x, y, n), _table_dfs_product(x, y, n)
+    got, want = structure_constants(x, y, n), table_dfs_product(x, y, n)
     assert got == want
     assert list(got) == list(want), "same terms, different key order"
 
@@ -596,19 +491,15 @@ def test_green_matches_symmetric_functions_n1():
         assert structure_constants(x, y, 1) == symfunc.label_product(x, y)
 
 
-def _stabilizer_order(values):
-    return prod(factorial(m) for m in Counter(values).values())
-
-
 def _row_count(pairs):
     """|Stab(tops) / Stab(pairs)|."""
-    return _stabilizer_order(index_tops(pairs)) // _stabilizer_order(pairs)
+    return stabilizer_order(index_tops(pairs)) // stabilizer_order(pairs)
 
 
 def _column_count(pairs, n):
     """|Stab(bottom residues) / Stab(pairs)|."""
     residues = tuple(bar(b, n) for b in index_bottoms(pairs))
-    return _stabilizer_order(residues) // _stabilizer_order(pairs)
+    return stabilizer_order(residues) // stabilizer_order(pairs)
 
 
 @st.composite

@@ -16,7 +16,7 @@ from affine_schur.transfer import (
     transfer,
     zero_shift,
 )
-from affine_schur.weyl import AffineWeylElement, all_perms, apply_perm, young_subgroup
+from affine_schur.weyl import AffineWeylElement, all_perms, young_subgroup
 
 # The points 1 and 2 of S_2 as the place of the entry 2 in a tuple over {1, 2}:
 # place permutation moves them as S_2 moves points.
@@ -41,9 +41,10 @@ def test_operator_algebra():
 def test_zero_shift_translate_is_place_permutation():
     tuples = list(itertools.product((1, 2, 3), repeat=3))
     for sigma, g in zip(all_perms(3), zero_shift(all_perms(3))):
+        place = AffineWeylElement(sigma, (0, 0, 0))
         for n in (1, 3):
             for i, j in zip(tuples, reversed(tuples)):
-                want = OperatorSum.unit(n, apply_perm(i, sigma), apply_perm(j, sigma))
+                want = OperatorSum.unit(n, place.apply(i, n), place.apply(j, n))
                 assert OperatorSum.unit(n, i, j).translate(g) == want
 
 

@@ -14,17 +14,15 @@ from affine_schur.weyl import (
     affine_matchings,
     all_perms,
     bar,
+    compose_perm,
     double_cosets,
-    equivalent_middle,
-    meet,
-    partition_of,
     refines,
-    stabilizer,
     stabilizer_order,
     tuple_orbit_rep,
-    young_order,
     young_subgroup,
 )
+
+from oracles import meet, partition_of, young_order
 
 
 def test_apply_examples():
@@ -58,7 +56,7 @@ def test_right_action_law(t, w1, w2, n):
 
 @given(weyl3, st.integers(1, 3), tuple3)
 def test_inverse(w, n, t):
-    assert w.compose(w.inverse()).is_identity()
+    assert w.compose(w.inverse()) == AffineWeylElement.identity(3)
     assert w.inverse().apply(w.apply(t, n), n) == t
 
 
@@ -101,14 +99,6 @@ def test_value_action_is_the_place_action_read_on_z():
     assert AffineWeylElement.s(1, 1).window == (0,)
 
 
-def test_stabilizer_examples():
-    assert stabilizer((1, 1, 2), 2) == ((1, 2), (3,))
-    assert stabilizer((1, 2, 3), 3) == ((1,), (2,), (3,))
-    assert stabilizer((1, 1, 1), 1) == ((1, 2, 3),)
-    with pytest.raises(ValueError):
-        stabilizer((0, 1), 2)
-
-
 def test_meet_examples():
     assert meet(((1, 2), (3,)), ((1,), (2, 3))) == ((1,), (2,), (3,))
     p = ((1, 3), (2,))
@@ -142,8 +132,6 @@ def test_double_cosets_partition_property():
             g = ((1, 2, 3),)
             reps = double_cosets(h2, g, h1)
             seen = set()
-            from affine_schur.weyl import compose_perm
-
             for d in reps:
                 coset = {
                     compose_perm(compose_perm(a, d), b)
@@ -163,24 +151,51 @@ def test_double_cosets_precondition():
         double_cosets(trivial9, (tuple(range(1, 10)),), trivial9)
 
 
+def test_young_subgroup_lists_each_element_once_in_order():
+    # every set partition of {1..r}, r <= 5, is that of a tuple over range(r)
+    for r, bell in enumerate((1, 1, 2, 5, 15, 52)):
+        partitions = {partition_of(t) for t in itertools.product(range(r), repeat=r)}
+        assert len(partitions) == bell
+        for partition in partitions:
+            perms = young_subgroup(partition)
+            assert len(perms) == young_order(partition) == len(set(perms))
+            assert list(perms) == sorted(perms)
+
+
+def test_weyl_defines_only_the_group_and_the_kernel():
+    # double_cosets and the refines it calls are test oracles, kept in weyl
+    # only because bench/tracer.py:182 reads weyl.double_cosets as an attribute
+    defined = [k for k, v in vars(weyl).items() if getattr(v, "__module__", "") == weyl.__name__]
+    keep = [
+        "bar", "bar_tuple", "identity_perm", "compose_perm", "invert_perm", "all_perms",
+        "perm_sign", "AffineWeylElement", "young_subgroup", "tuple_orbit_rep",
+        "stabilizer_order", "_place_maps", "_matchings", "affine_matchings",
+        "affine_images", "weakly_increasing_tuples",
+    ]
+    assert sorted(defined) == sorted(keep + ["double_cosets", "refines"])
+    assert not hasattr(AffineWeylElement, "is_identity")
+
+
 def test_refines():
     assert refines(((1,), (2,), (3,)), ((1, 2, 3),))
     assert not refines(((1, 2, 3),), ((1,), (2,), (3,)))
 
 
 def test_equivalent_middle():
-    w = equivalent_middle((1, 2), (3, 4), 2)
+    # j and k are equivalent middles when some w has j.w = k: the first
+    # matching is one, and there is none when the residue multisets differ
+    w = next(affine_matchings((1, 2), (3, 4), 2), None)
     assert w is not None and w.apply((1, 2), 2) == (3, 4)
-    w = equivalent_middle((1, 2), (2, 3), 2)
+    w = next(affine_matchings((1, 2), (2, 3), 2), None)
     assert w is not None and w.apply((1, 2), 2) == (2, 3)
-    assert equivalent_middle((1, 1), (1, 2), 2) is None
+    assert next(affine_matchings((1, 1), (1, 2), 2), None) is None
 
 
 @given(tuple3, weyl3)
 def test_equivalent_middle_finds_orbit_moves(t, w):
     n = 2
     img = w.apply(t, n)
-    found = equivalent_middle(t, img, n)
+    found = next(affine_matchings(t, img, n), None)
     assert found is not None and found.apply(t, n) == img
 
 
