@@ -10,12 +10,15 @@ label of one degree lower; diagonal units act by occurrence counts.
 Decomposition over the index-at-most-one generating set follows an
 induction on the number of moved coordinates: split at a moved position,
 multiply the two lower-index factors, and solve for the target using the
-nonzero leading coefficient.  Every decomposition is re-multiplied and checked
-before being returned.
+nonzero leading coefficient.  ``y_split`` gives that step for one label as a
+record, computed afresh on each call; ``verify generators`` multiplies the
+records out label by label, without building a tree.
 
-A decomposition is an ``expr.Node`` tree, the tree of the command-line
-expression language: sums and products of basis atoms and rational scalars.
-``expr.evaluate`` re-multiplies it and ``expr.to_json`` writes it for
+``decompose_y`` and ``decompose_x`` render the records as an ``expr.Node``
+tree, the tree of the command-line expression language: sums and products of
+basis atoms and rational scalars, one node per sub-decomposition of a call.
+Each checks its label through the public constructor first, and re-multiplies
+and checks the tree before returning it; ``expr.to_json`` writes it for
 ``decompose``.
 """
 
@@ -111,7 +114,7 @@ def generator_set(kind, n, r, window=1):
     return [AlgebraElement(n, r, {pairs: 1}) for pairs in sorted(labels)]
 
 
-# -- decomposition over Y ----------------------------------------------------------
+# -- decomposition: split records and the trees rendered from them -----------------
 
 def label_index(pairs):
     """Number of moved coordinates of a canonical label."""
@@ -122,29 +125,60 @@ class DecompositionError(RuntimeError):
     pass
 
 
-def decompose_y(pairs, n, _verify=True):
+def decompose_y(pairs, n):
     """Express a basis element as a polynomial in index-at-most-one elements.
 
-    Returns an ``expr.Node`` tree whose atoms all have index <= 1; evaluation
-    is checked against the input before returning.
+    Returns an ``expr.Node`` tree whose atoms all have index <= 1.
     """
+    return _decomposition(pairs, n, atom)
+
+
+def decompose_x(pairs, n):
+    """Express a basis element over the row +- 1 generators; needs r < n."""
+    r = len(pairs)
+    if r >= n:
+        raise ValueError("the X generating set requires r < n")
+    return _decomposition(pairs, n, lambda p: _y_atom_over_x(p, n, r))
+
+
+def _decomposition(pairs, n, leaf):
+    """The tree of ``pairs`` rendered from the records of ``y_split``, one node
+    per sub-decomposition, after checking that it multiplies out to xi_pairs;
+    ``leaf`` gives the tree of a label of index <= 1.  The label goes through
+    the public constructor first: ``ValueError`` if it is not canonical."""
     pairs = tuple(tuple(p) for p in pairs)
-    expr = _decompose_y(pairs, n)
-    return _remultiplied(expr, pairs, n) if _verify else expr
+    target = AlgebraElement(n, len(pairs), {pairs: 1})
+    nodes = {}
 
+    def tree(p):
+        if p not in nodes:
+            record = y_split(p, n)
+            if record is None:
+                nodes[p] = leaf(p)
+            else:
+                lead, left, right, others = record
+                children = [Node("product", children=[tree(left), leaf(right)])]
+                children += [scaled(-c, tree(other)) for other, c in others]
+                nodes[p] = scaled(Fraction(1, lead), Node("sum", children=children))
+        return nodes[p]
 
-def _remultiplied(expr, pairs, n):
-    """The tree ``expr``, after checking that it multiplies out to xi_pairs."""
-    if _eval_element(expr, n, multiply) != AlgebraElement(n, len(pairs), {pairs: 1}):
+    expr = tree(pairs)
+    if _eval_element(expr, n, multiply) != target:
         raise DecompositionError("re-multiplication mismatch for %s" % (pairs,))
     return expr
 
 
-@lru_cache(maxsize=None)
-def _decompose_y(pairs, n):
+def y_split(pairs, n):
+    """The split record of a label of index m >= 2, None for index <= 1.
+
+    It is ``(lead, left, right, ((other, c), ...))``: left has index m - 1,
+    right index 1, and xi_left * xi_right = lead * xi_pairs + sum c * xi_other
+    with every other of index < m, in ``structure_constants`` key order.  So
+    xi_pairs = (1/lead) * (xi_left * xi_right - sum c * xi_other).
+    """
     m = label_index(pairs)
     if m <= 1:
-        return atom(pairs)
+        return None
 
     # Put one moved coordinate first and replace its bottom by its top.
     order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0] == pairs[k][1], k))
@@ -165,33 +199,16 @@ def _decompose_y(pairs, n):
             "leading coefficient vanished for %s (split %s * %s)"
             % (pairs, left, right)
         )
-
-    children = [Node("product", children=[_decompose_y(left, n), atom(right)])]
-    for other, coeff in product.items():
-        if other == pairs:
-            continue
+    others = tuple((other, c) for other, c in product.items() if other != pairs)
+    for other, _ in others:
         if label_index(other) >= m:
             raise DecompositionError(
                 "index did not drop: %s appears in the split of %s" % (other, pairs)
             )
-        children.append(scaled(-coeff, _decompose_y(other, n)))
-
-    return scaled(Fraction(1, lead), Node("sum", children=children))
+    return lead, left, right, others
 
 
-# -- decomposition over X (r < n) --------------------------------------------------
-
-def decompose_x(pairs, n):
-    """Express a basis element over the row +- 1 generators; needs r < n."""
-    pairs = tuple(tuple(p) for p in pairs)
-    r = len(pairs)
-    if r >= n:
-        raise ValueError("the X generating set requires r < n")
-    expr = map_atoms(
-        decompose_y(pairs, n, _verify=False), lambda p: _y_atom_over_x(p, n, r)
-    )
-    return _remultiplied(expr, pairs, n)
-
+# -- index-at-most-one labels over X (r < n) ----------------------------------------
 
 @lru_cache(maxsize=None)
 def _y_atom_over_x(pairs, n, r):

@@ -106,12 +106,13 @@ def structure_constants(x_pairs, y_pairs, n):
     so ``bilinear`` scales by them without building a constant polynomial.
     ``multiply`` asks only for composable pairs; any other pair gives {}.
     Computed by ``_green_product`` and memoized in-process.  Its key order is
-    part of the result: ``looplie.decompose_y`` builds its trees in it, and a
-    persistent cache stores records in it.  Its final division is exact; a
-    remainder raises ``ArithmeticError``.  When a persistent cache is
-    installed, a miss is written to it, and a record read from it is
-    re-derived the first time this process uses it; a mismatch raises
-    ``CacheMismatchError`` before the record can reach any output.
+    part of the result: ``looplie.y_split`` lists its terms in it, so the
+    ``decompose`` trees follow it, and a persistent cache stores records in
+    it.  Its final division is exact; a remainder raises ``ArithmeticError``.
+    When a persistent cache is installed, a miss is written to it, and a
+    record read from it is re-derived the first time this process uses it; a
+    mismatch raises ``CacheMismatchError`` before the record can reach any
+    output.
     """
     key = (n, x_pairs, y_pairs)
     out = _green_product(x_pairs, y_pairs, n)
@@ -157,7 +158,8 @@ def _green_product(x_pairs, y_pairs, n):
     (rows in turn, each row's spreads in ``_spreads`` order) first reaches
     them: states are visited in insertion order, and the spreads of one row
     are all of one total, so none is a prefix of another.
-    ``looplie.decompose_y`` builds its trees in this order.
+    ``looplie.y_split`` lists its terms, and so ``decompose`` its trees, in
+    this order.
     """
     middle, rows = _row_types(x_pairs, n)
     tops, width, cols, starts = _column_types(y_pairs)

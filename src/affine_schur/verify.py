@@ -17,8 +17,11 @@ The first two take n and r together, or neither for every n, r <= 3.
 
 A suite computes each value its cases share once, in a table that lives for one
 call: the drawn basis elements of a grid cell and, in ring-axioms, their
-products; in hom-laws the inner image psi_s'(x) for all s; and in lie each
-bracket for all degrees and each product of images for both orders of its pair.
+products; in hom-laws the inner image psi_s'(x) for all s; in lie each
+bracket for all degrees and each product of images for both orders of its pair;
+and in generators, per grid cell, each label's decomposition multiplied out
+from its ``looplie.y_split`` record, over the leaves' values: basis elements
+for Y, the ``looplie._y_atom_over_x`` trees multiplied out for X.
 """
 
 from __future__ import annotations
@@ -718,26 +721,41 @@ def suite_lie(offset=2, seed=20240606):
 
 # -- generators suite ----------------------------------------------------------------------
 
-def _decomposition_failure(decompose, idx, n):
+def _decomposition_failure(values, basis, idx):
     try:
-        decompose(idx, n)
-    except Exception as ex:  # re-multiplication failure is a check failure
-        return {"index": str(idx), "error": str(ex)}
-    return None
+        if values(idx) == basis(idx):
+            return None
+        error = "re-multiplication mismatch for %s" % (idx,)
+    except Exception as ex:  # a failed split is a check failure
+        error = str(ex)
+    return {"index": str(idx), "error": error}
 
 
 def suite_generators(window=1):
-    from .looplie import decompose_x, decompose_y, generator_set
+    from .expr import _eval_element
+    from .looplie import _y_atom_over_x, generator_set, y_split
 
-    y_grid = itertools.product((1, 2, 3), repeat=2)
-    grids = [(decompose_y, "y", y_grid),
-             (decompose_x, "x", [(2, 1), (3, 1), (3, 2)])]
-    checks = [
-        _check("%s-decomposition-n%d-r%d" % (name, n, r), basis_indices(n, r, window),
-               lambda idx: _decomposition_failure(decompose, idx, n))
-        for decompose, name, grid in grids
-        for n, r in grid
-    ]
+    def cell(name, n, r):
+        basis = _basis_of(n, r)
+        leaf = basis if name == "y" else (
+            lambda pairs: _eval_element(_y_atom_over_x(pairs, n, r), n, multiply))
+
+        def value(pairs):  # the label's decomposition, multiplied out
+            record = y_split(pairs, n)
+            if record is None:
+                return leaf(pairs)
+            lead, left, right, others = record  # lead and c are mostly 1
+            total = multiply(values(left), values(right))
+            for other, c in others:
+                total = total - (values(other) if c == 1 else values(other).scale(c))
+            return total if lead == 1 else total.scale(Fraction(1, lead))
+
+        values = _shared(value)
+        return _check("%s-decomposition-n%d-r%d" % (name, n, r), basis_indices(n, r, window),
+                      lambda idx: _decomposition_failure(values, basis, idx))
+
+    checks = [cell("y", n, r) for n, r in itertools.product((1, 2, 3), repeat=2)]
+    checks += [cell("x", n, r) for n, r in [(2, 1), (3, 1), (3, 2)]]
     # Y contains the row +- 1 generators; counting for the finite slice
     n, r = 3, 2
     x_labels = [tuple(e.terms)[0] for e in generator_set("X", n, r)]

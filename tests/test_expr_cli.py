@@ -549,7 +549,7 @@ def test_cli_witness_for_a_binomial_under_optimize(flags, entries):
 _LIBRARY_CHECKS = """
 from affine_schur.dual import phi_as_map
 from affine_schur.laurent import Laurent
-from affine_schur.looplie import lie_bracket_law
+from affine_schur.looplie import decompose_x, decompose_y, lie_bracket_law
 from affine_schur.semigroup import PeriodicMatrix
 from affine_schur.transfer import OperatorSum, mackey_product, zero_shift
 from affine_schur.weyl import AffineWeylElement, all_perms, young_subgroup
@@ -575,6 +575,10 @@ for call in (
     lambda: AffineWeylElement((1,), (0,)).compose(AffineWeylElement.identity(2)),
     lambda: AffineWeylElement.from_window((1, 3)),
     lambda: OperatorSum(2, {(1, 2): 1}),
+    lambda: decompose_y(((3, 1),), 2),
+    lambda: decompose_y(((2, 2), (1, 1)), 2),
+    lambda: decompose_x(((3, 1),), 2),
+    lambda: decompose_x(((2, 2), (1, 1)), 2),
     mackey_with_a_wrong_inverse,
 ):
     try:
@@ -590,7 +594,8 @@ def test_library_checks_raise_under_optimize():
     # -O strips assert statements; without a raise, a zero offset multiplier
     # divides by zero, a negative power of a never returns and a
     # non-permutation builds an affine Weyl element, an operator index of
-    # bare integers is kept, and a wrong Mackey sum is returned unchecked
+    # bare integers is kept, a label that is not canonical is split, and a
+    # wrong Mackey sum is returned unchecked
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _LIBRARY_CHECKS],
         capture_output=True,
@@ -609,6 +614,10 @@ def test_library_checks_raise_under_optimize():
         "ValueError: window residues must be a permutation of 1..2, got (1, 3)",
         "ValueError: an operator index is a pair of integer tuples of one length"
         " r >= 1, got (1, 2)",
+        "ValueError: label ((3, 1),) is not canonical for n=2",
+        "ValueError: label ((2, 2), (1, 1)) is not canonical for n=2",
+        "ValueError: label ((3, 1),) is not canonical for n=2",
+        "ValueError: the X generating set requires r < n",
         "ArithmeticError: double-coset sum disagrees with the transfer product",
     ]
 

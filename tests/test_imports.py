@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -157,3 +158,42 @@ def test_oracles_import_nothing_of_greens_engine(oracle):
             taken.setdefault(node.module, set()).update(a.name for a in node.names)
     assert {m: taken.get(m) for m in ("schur", "weyl")} == _ORACLE_IMPORTS[oracle]
     assert not _GREEN & (taken["schur"] | taken["weyl"])
+
+
+# Every process-wide memo in the package: a module-level function decorated
+# with lru_cache, or a module-level name bound to one.  A new memo, or the
+# return of one that was deleted, needs an edit here.
+_MEMOS = {
+    "dual": {"_schur_basis_product"},
+    "expr": {"_basis_element"},
+    "looplie": {"pi_tilde", "_y_atom_over_x", "_finite_closure"},
+    "schur": {"split_offsets", "structure_constants", "_row_types", "_column_types",
+              "_spreads"},
+    "tensor": {"_action_basis_product"},
+    "weyl": {"young_subgroup", "double_cosets", "_place_maps"},
+}
+
+
+def _is_memo(node):
+    """Whether an expression is lru_cache or cache, or a call of one."""
+    if isinstance(node, ast.Call):
+        return _is_memo(node.func)
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_module_level_memos_are_the_listed_ones():
+    found = {}
+    for path in sorted(pathlib.Path(affine_schur.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name] if any(map(_is_memo, node.decorator_list)) else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if isinstance(node.value, ast.Call) and _is_memo(node.value.func):
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if names:
+                found.setdefault(path.stem, set()).update(names)
+    assert found == _MEMOS
+    assert "_decompose_y" not in found["looplie"]

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from affine_schur import expr
+from affine_schur import expr, looplie
 from affine_schur.dual import multiply_schur_oracle
-from affine_schur.schur import AlgebraElement, basis_indices
+from affine_schur.schur import AlgebraElement, basis_indices, canonicalize
 from affine_schur.homs import det_tilde_sharp, psi_a
 from affine_schur.laurent import Laurent
 from affine_schur.looplie import (
@@ -180,10 +180,30 @@ def test_decompose_worked_example():
 
 
 def test_decompose_window():
-    for (n, r) in [(2, 2), (2, 3), (3, 2)]:
-        for idx in basis_indices(n, r, 1):
-            tree = decompose_y(idx, n)
-            assert all(label_index(a) <= 1 for a in expr.atoms(tree))
+    # decompose_y checks each tree it renders: this runs that check on the grid
+    for n in (1, 2, 3):
+        for r in (1, 2, 3):
+            for idx in basis_indices(n, r, 1):
+                tree = decompose_y(idx, n)
+                assert all(label_index(a) <= 1 for a in expr.atoms(tree))
+    # one node per sub-decomposition: the tree shares what repeats in it
+    pairs = canonicalize((1, 2, 3, 1, 2, 3, 1), (3, 1, 2, 2, 3, 1, 2), 3)
+    nodes, stack = {}, [decompose_y(pairs, 3)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.children)
+    assert len(nodes) <= 144
+
+
+@pytest.mark.parametrize("decompose", [decompose_y, decompose_x])
+@pytest.mark.parametrize("pairs", [((3, 1),), ((2, 2), (1, 1))])
+def test_decompose_rejects_a_label_that_is_not_canonical(monkeypatch, decompose, pairs):
+    # the public constructor rejects the label before any split; X takes only r < n
+    monkeypatch.setattr(looplie, "y_split", None)
+    with pytest.raises(ValueError, match="is not canonical for n=2|requires r < n"):
+        decompose(pairs, 2)
 
 
 def test_decompose_x_cases():

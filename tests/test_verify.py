@@ -1,6 +1,8 @@
+import functools
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -172,17 +174,64 @@ def _psi_rescaled_at_two(mp):
         x, s + 1 if abs(s) == 2 else s, **kw))
 
 
-# Mutants of the values a suite shares across its cases: each makes the
-# checks named next to it fail.
+def _edited_split_records(edit):
+    """A mutant of the generators suite's records: ``edit`` of each split record."""
+    def apply(mp):
+        y_split = looplie.y_split
+
+        def edited(pairs, n):
+            record = y_split(pairs, n)
+            return record and edit(*record)
+
+        mp.setattr(looplie, "y_split", edited)
+
+    return apply
+
+
+def _flipped_reduction_factors(mp):
+    # the X leaves come from memos: the mutant fills fresh ones, dropped on undo
+    for name in ("_y_atom_over_x", "_finite_closure"):
+        mp.setattr(looplie, name, functools.lru_cache(maxsize=None)(
+            getattr(looplie, name).__wrapped__))
+    reduce = looplie._reduce
+
+    def flipped(vec, rows):
+        vec, used = reduce(vec, rows)
+        return vec, [(-factor, row_expr) for factor, row_expr in used]
+
+    mp.setattr(looplie, "_reduce", flipped)
+
+
+# The checks that see a wrong split record: every cell with a label of index
+# >= 2, that is r >= 2, and the one such cell over X.
+_RECORD_CHECKS = ["y-decomposition-n%d-r%d" % (n, r) for n in (1, 2, 3) for r in (2, 3)] + [
+    "x-decomposition-n3-r2"]
+
+# Mutants of the values a suite shares across its cases: each makes exactly
+# the checks named next to it fail.
 _SHARED_VALUE_MUTANTS = {
     # the bracket predicate's products taken in reverse order
     "reversed-bracket-products": ("lie", _reversed_products, [
         "bracket-n%d-r%d" % (n, r) for n in (2, 3) for r in (1, 2, 3)]),
     # psi_as rescales by s + 1 when |s| = 2
-    "psi-rescaled-at-two": ("hom-laws", _psi_rescaled_at_two, ["psi-composition-law"]),
+    "psi-rescaled-at-two": ("hom-laws", _psi_rescaled_at_two,
+                            ["psi-composition-law", "psi-worked-value"]),
     # det_tilde_sharp loses its signs
     "unsigned-det-sharp": ("lie", lambda mp: mp.setattr(
         "affine_schur.weyl.perm_sign", lambda sigma: 1), ["det-transfer-of-image-products"]),
+    # each decomposition scaled by its leading coefficient, not by its inverse
+    "lead-not-inverted": ("generators", _edited_split_records(
+        lambda lead, left, right, others: (Fraction(1, lead), left, right, others)),
+        _RECORD_CHECKS),
+    # the lower-index terms added, not subtracted
+    "others-added": ("generators", _edited_split_records(
+        lambda lead, left, right, others: (
+            lead, left, right, tuple((other, -c) for other, c in others))),
+        _RECORD_CHECKS),
+    # the X reduction (the finite closure and _finite_over_x) takes each
+    # echelon row with the wrong sign
+    "flipped-reduction-factors": ("generators", _flipped_reduction_factors, [
+        "x-decomposition-n2-r1", "x-decomposition-n3-r1", "x-decomposition-n3-r2"]),
 }
 
 
@@ -191,7 +240,7 @@ def test_suite_checks_fail_under_each_shared_value_mutant(monkeypatch, mutant):
     suite, apply, names = _SHARED_VALUE_MUTANTS[mutant]
     apply(monkeypatch)
     checks = {c["name"]: c for c in run_suite(suite)["checks"]}
-    assert [name for name in names if checks[name]["passed"]] == []
+    assert [name for name, c in checks.items() if not c["passed"]] == names
 
 
 _GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -202,3 +251,18 @@ def test_verify_report_matches_its_golden_file(capsys, suite):
     # the JSON report of each suite at its defaults, byte for byte
     assert main(["verify", suite, "--json"]) == 0
     assert capsys.readouterr().out == (_GOLDEN / ("verify-%s.json" % suite)).read_text()
+
+
+@pytest.mark.parametrize(
+    "name, index, n",
+    [
+        ("Y-n2-r2", "[(1,1)|(2,2)]", 2),  # the README command
+        ("Y-n3-r3", "[(1,2,3)|(2,3,1)]", 3),
+        ("X-n3-r2", "[(1,1)|(2,2)]", 3),
+        ("X-n3-r1", "[(1)|(5)]", 3),
+    ],
+)
+def test_decompose_json_matches_its_golden_file(capsys, name, index, n):
+    # the labels of test_decomposition_json_evaluates_under_the_oracle, byte for byte
+    assert main(["decompose", "--index", index, "--n", str(n), "--using", name[0]]) == 0
+    assert capsys.readouterr().out == (_GOLDEN / ("decompose-%s.json" % name)).read_text()
