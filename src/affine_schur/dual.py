@@ -44,7 +44,6 @@ def multiply_schur_oracle(x, y):
     return bilinear(x, y, _schur_basis_product)
 
 
-@lru_cache(maxsize=None)
 def _schur_basis_product(x_pairs, y_pairs, n):
     """xi_x * xi_y for canonical labels x, y, from the one middle j of x."""
     i, j = index_tops(x_pairs), index_bottoms(x_pairs)
@@ -99,7 +98,6 @@ def phi_as_map(n, s):
     """The coordinate-side map dual to the offset-rescaling endomorphism."""
     if s == 0:
         raise ValueError("the offset multiplier s must be nonzero")
-    gen = lru_cache(maxsize=None)(Laurent.gen)  # one coefficient per height
 
     def apply_fn(pairs):
         # unmemoized: RowFiniteMap asks once per label, so the shared memo
@@ -111,7 +109,7 @@ def phi_as_map(n, s):
         ht = sum(new_eps)
         i = index_tops(pairs)
         bottom = tuple(v + n * e for v, e in zip(j, new_eps))
-        return [(canonicalize(i, bottom, n), gen(ht))]
+        return [(canonicalize(i, bottom, n), Laurent.gen(ht))]
 
     return RowFiniteMap(apply_fn)
 

@@ -252,7 +252,10 @@ class _Parser:
 def parse(text):
     """Parse an expression; raises ParseError with a column on bad input."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     parser.take("END")
     return node
 

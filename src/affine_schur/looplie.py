@@ -40,14 +40,12 @@ from .schur import (
 from .weyl import bar, weakly_increasing_tuples
 
 
-@lru_cache(maxsize=None)
 def pi_tilde(m, r):
     """The image of a periodic matrix in the degree-r algebra, linear in m.
 
     E_{s,t} with s != t goes to the sum of the diagonal labels of degree
     r - 1 with the pair (s, t) appended; E_{s,s} goes to the sum of the
-    diagonal labels of degree r, each as often as s occurs in it.  Memoized
-    on (m, r): the bracket checks ask for the same few images again and again.
+    diagonal labels of degree r, each as often as s occurs in it.
     """
     if r < 1:
         raise ValueError("the degree r must be at least 1, got %d" % r)
@@ -70,10 +68,10 @@ def pi_tilde(m, r):
 def lie_bracket_law(ms, rs):
     """The bracket law on periodic matrices ``ms`` in the degrees ``rs``: a
     predicate on (i, j, r), whether [m_i, m_j] maps to the commutator of their
-    images.  It builds each bracket once for all degrees and each product of
-    images once for the checks (i, j, r) and (j, i, r); its tables live with it."""
+    images.  Its tables live with it: each bracket, the image of each distinct
+    bracket per degree, and each product of images for (i, j, r) and (j, i, r)."""
     images = {r: [pi_tilde(m, r) for m in ms] for r in rs}
-    brackets, products = {}, {}
+    brackets, bracket_images, products = {}, {}, {}
 
     def product(i, j, r):  # the second of its two uses takes it out
         p = products.pop((i, j, r), None)
@@ -84,7 +82,10 @@ def lie_bracket_law(ms, rs):
     def holds(i, j, r):
         if (i, j) not in brackets:
             brackets[i, j] = ms[i] * ms[j] - ms[j] * ms[i]
-        return pi_tilde(brackets[i, j], r) == product(i, j, r) - product(j, i, r)
+        key = brackets[i, j], r
+        if key not in bracket_images:
+            bracket_images[key] = pi_tilde(*key)
+        return bracket_images[key] == product(i, j, r) - product(j, i, r)
 
     return holds
 

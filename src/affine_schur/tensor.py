@@ -15,7 +15,6 @@ check rather than read off.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .combination import Combination, checked_int, read
 from .laurent import Laurent
@@ -133,7 +132,6 @@ class ReconstructionError(RuntimeError):
     """The composite action is not the action of any candidate combination."""
 
 
-@lru_cache(maxsize=None)
 def _action_basis_product(x_pairs, y_pairs, n):
     """Structure constants recovered from the composite tensor action."""
     u = middle_orbit_rep(y_pairs, n)

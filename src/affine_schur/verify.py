@@ -17,11 +17,11 @@ The first two take n and r together, or neither for every n, r <= 3.
 
 A suite computes each value its cases share once, in a table that lives for one
 call: the drawn basis elements of a grid cell and, in ring-axioms, their
-products; in hom-laws the inner image psi_s'(x) for all s; in lie each
-bracket for all degrees and each product of images for both orders of its pair;
-and in generators, per grid cell, each label's decomposition multiplied out
-from its ``looplie.y_split`` record, over the leaves' values: basis elements
-for Y, the ``looplie._y_atom_over_x`` trees multiplied out for X.
+products; in hom-laws the inner image psi_s'(x) for all s; in lie each bracket
+for all degrees, its image per degree, and each product of images for both
+orders of its pair; and in generators, per grid cell, each label's decomposition
+multiplied out from its ``looplie.y_split`` record, over the leaves' values:
+basis elements for Y, the ``looplie._y_atom_over_x`` trees multiplied out for X.
 """
 
 from __future__ import annotations

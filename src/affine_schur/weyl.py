@@ -21,9 +21,9 @@ fix a tuple, prod m! over the multiplicities m of its entries; the collapse
 map's index weights, the tensor action's stabilizer division and the
 middle-tuple product's weight stab(c) / stab(x) use it.
 
-``young_subgroup`` lists a Young subgroup given as a set partition of the
-places.  ``double_cosets`` and its ``refines`` are a test oracle, kept here only
-because ``bench/tracer.py`` reads ``weyl.double_cosets`` as a plain attribute.
+``young_subgroup`` lists a Young subgroup, given as a set partition of the
+places, afresh on each call.  ``double_cosets`` and its ``refines`` are a test
+oracle, kept here only because ``bench/tracer.py`` reads it by name.
 
 Permutations of {1..r} are stored as image tuples sigma with sigma[k-1] being
 the image of k.  Products compose as functions, (sigma*tau)(k) = sigma(tau(k)),
@@ -225,7 +225,6 @@ def refines(fine, coarse):
     return True
 
 
-@lru_cache(maxsize=None)
 def young_subgroup(partition):
     """All permutations preserving each block of the partition pointwise as a set."""
     r = sum(len(b) for b in partition)
@@ -242,7 +241,6 @@ def young_subgroup(partition):
     return tuple(sorted(perms))
 
 
-@lru_cache(maxsize=None)
 def double_cosets(h2, g, h1):
     """Representatives of H2\\G/H1 for Young subgroups given as partitions.
 

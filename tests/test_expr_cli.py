@@ -502,6 +502,12 @@ def test_cli_act_malformed_coefficient_exits_one(tmp_path, capsys):
             '[{"pairs":[[1,3]],"coeff":"1"}]',
             "zero denominator in '1/0'\n",
         ),
+        # expression text nested past the recursion limit
+        (
+            ["multiply", "-n", "1", "(" * 3000 + "xi[(1)|(1)]" + ")" * 3000],
+            "",
+            "expression nested too deeply at column ",
+        ),
     ],
 )
 def test_invalid_input_exits_one_under_optimize(argv):

@@ -160,17 +160,18 @@ def test_oracles_import_nothing_of_greens_engine(oracle):
     assert not _GREEN & (taken["schur"] | taken["weyl"])
 
 
-# Every process-wide memo in the package: a module-level function decorated
-# with lru_cache, or a module-level name bound to one.  A new memo, or the
-# return of one that was deleted, needs an edit here.
+# Every memo in the package: a function decorated with lru_cache, or a name or
+# attribute bound to one, at any depth.  A plain name is a module-level memo,
+# which lives as long as the process; a dotted one is built inside a function
+# or method and lives as long as what holds it (``RowFiniteMap.apply``: one per
+# map).  A new memo, or the return of one that was deleted, needs an edit here.
 _MEMOS = {
-    "dual": {"_schur_basis_product"},
+    "dual": {"RowFiniteMap.apply"},
     "expr": {"_basis_element"},
-    "looplie": {"pi_tilde", "_y_atom_over_x", "_finite_closure"},
+    "looplie": {"_y_atom_over_x", "_finite_closure"},
     "schur": {"split_offsets", "structure_constants", "_row_types", "_column_types",
               "_spreads"},
-    "tensor": {"_action_basis_product"},
-    "weyl": {"young_subgroup", "double_cosets", "_place_maps"},
+    "weyl": {"_place_maps"},
 }
 
 
@@ -182,18 +183,34 @@ def _is_memo(node):
     return name in ("lru_cache", "cache")
 
 
+def _memos(node, scope, built):
+    """The qualified names of the memos under ``node``, adding the ids of the
+    expressions that build them to ``built``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for memo in filter(_is_memo, child.decorator_list):
+                built.update(map(id, ast.walk(memo)))
+                yield scope + child.name
+        elif isinstance(child, (ast.Assign, ast.AnnAssign)) and isinstance(
+                child.value, ast.Call) and _is_memo(child.value):
+            built.update(map(id, ast.walk(child.value)))
+            for t in child.targets if isinstance(child, ast.Assign) else [child.target]:
+                # self.name, bound in a method, is named after the method's class
+                yield scope + t.id if isinstance(t, ast.Name) else (
+                    scope.rsplit(".", 2)[0] + "." + t.attr)
+        inner = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _memos(child, scope + child.name + "." if inner else scope, built)
+
+
 def test_module_level_memos_are_the_listed_ones():
     found = {}
     for path in sorted(pathlib.Path(affine_schur.__file__).parent.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            names = []
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [node.name] if any(map(_is_memo, node.decorator_list)) else []
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if isinstance(node.value, ast.Call) and _is_memo(node.value.func):
-                    names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if names:
-                found.setdefault(path.stem, set()).update(names)
+        tree, built = ast.parse(path.read_text()), set()
+        names = set(_memos(tree, "", built))
+        if names:
+            found[path.stem] = names
+        # no lru_cache(...) or cache(f) is built outside a name the walk finds
+        assert all(id(node) in built for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and not isinstance(node.func, ast.Call) and _is_memo(node.func)), path.stem
     assert found == _MEMOS
     assert "_decompose_y" not in found["looplie"]

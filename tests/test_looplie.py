@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,24 +43,26 @@ def test_pi_tilde_finite_restriction():
                 assert psi_a(img) == img
 
 
-def test_pi_tilde_is_memoized():
-    units = [
-        (n, s, t)
-        for n in (1, 2, 3)
-        for s in range(1, n + 1)
-        for t in (s, s + 1, s - n - 1, s + 2 * n)
-    ]
-    cached = {}
-    for n, s, t in units:
-        for r in (1, 2, 3):
-            cached[E(n, s, t), r] = pi_tilde(E(n, s, t), r)
-            before = pi_tilde.cache_info()
-            assert pi_tilde(E(n, s, t), r) is cached[E(n, s, t), r]
-            after = pi_tilde.cache_info()
-            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    pi_tilde.cache_clear()
-    for (m, r), image in cached.items():
-        assert pi_tilde(m, r) == image
+def test_bracket_law_images_each_distinct_bracket_once(monkeypatch):
+    # the law images its matrices once per degree, then each distinct
+    # (bracket, r) once, however many pairs share that bracket
+    calls = []
+
+    def counted(m, r):
+        calls.append((m, r))
+        return pi_tilde(m, r)
+
+    monkeypatch.setattr(looplie, "pi_tilde", counted)
+    rs = (1, 2)
+    ms = [E(2, s, t) for s in (1, 2) for t in range(-1, 5)]
+    pairs = list(itertools.product(range(len(ms)), repeat=2))
+    holds = lie_bracket_law(ms, rs)
+    assert all(holds(i, j, r) for r in rs for i, j in pairs)
+    own = len(rs) * len(ms)
+    assert calls[:own] == [(m, r) for r in rs for m in ms]
+    brackets = {(ms[i] * ms[j] - ms[j] * ms[i], r) for r in rs for i, j in pairs}
+    assert Counter(calls[own:]) == Counter(brackets)
+    assert len(brackets) < len(rs) * len(pairs)
 
 
 def test_pi_tilde_rejects_degree_zero_every_time():

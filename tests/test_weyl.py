@@ -6,7 +6,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from affine_schur import dual, tensor, weyl
+from affine_schur import weyl
 from affine_schur.verify import run_suite
 from affine_schur.weyl import (
     AffineWeylElement,
@@ -294,10 +294,8 @@ def test_stabilizer_order_is_the_product_of_factorials(entries, distinct):
 
 
 def test_place_map_memo_is_keyed_on_residue_patterns():
-    # at n = 2, r = 2 every key is a pair of residue tuples in {0, 1}^2; the
-    # oracles' own memos are cleared too, so that the suite reaches the kernel
-    for memo in (weyl._place_maps, dual._schur_basis_product, tensor._action_basis_product):
-        memo.cache_clear()
+    # at n = 2, r = 2 every key is a pair of residue tuples in {0, 1}^2
+    weyl._place_maps.cache_clear()
     assert run_suite("oracle-equivalence", n=2, r=2)["passed"]
     info = weyl._place_maps.cache_info()
     assert info.misses and info.hits >= info.misses
